@@ -20,6 +20,7 @@ from .errors import InputError, InternalInvariantError
 from .graph import (
     FORWARD,
     REVERSE,
+    Arc,
     LabeledGraph,
     Walk,
     is_non_null_cycle,
@@ -148,9 +149,45 @@ def _witness_for_violation(g, parent, u: int, w: int, arc_id: int, direction: in
 
 
 def is_clean(g: LabeledGraph, s: Optional[Iterable[int]] = None) -> bool:
-    """Whether G[s] (the whole graph when s is None) has no non-null cycle."""
-    sub = g if s is None else g.induced_subgraph(s)
-    return find_consistent_labeling(sub).clean
+    """Whether G[s] (the whole graph when s is None) has no non-null cycle.
+
+    For a subset, the labeling BFS runs over g's incidence lists and skips
+    arcs leaving s, so no subgraph is built. It also skips the arc that
+    labeled each vertex, which holds by construction, and checks an arc
+    (u, v, x) as lam(v) == lam(u) * x, so only labeling against an arc's
+    orientation needs an inverse."""
+    if s is None:
+        return find_consistent_labeling(g).clean
+    keep = set(s)
+    bad = [v for v in keep if not g.has_vertex(v)]
+    if bad:
+        raise InputError(f"vertices not in graph: {sorted(bad)}")
+    labeling: dict[int, GroupElement] = {}
+    via: dict[int, Optional[Arc]] = {}
+    e = identity(g.group)
+    for root in keep:
+        if root in labeling:
+            continue
+        labeling[root] = e
+        via[root] = None
+        queue = [root]
+        for u in queue:
+            lab_u = labeling[u]
+            for arc in g.incident(u):
+                forward = arc.tail == u
+                w = arc.head if forward else arc.tail
+                if w not in keep or arc is via[u]:
+                    continue
+                if w not in labeling:
+                    labeling[w] = multiply(lab_u, arc.label if forward else inverse(arc.label))
+                    via[w] = arc
+                    queue.append(w)
+                elif forward:
+                    if labeling[w] != multiply(lab_u, arc.label):
+                        return False
+                elif lab_u != multiply(labeling[w], arc.label):
+                    return False
+    return True
 
 
 def find_non_null_cycle(g: LabeledGraph) -> Optional[Walk]:

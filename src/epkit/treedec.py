@@ -5,12 +5,24 @@ width: a depth-first feasibility check over eliminated-set states with failed
 states memoized, simplicial vertices eliminated eagerly, a
 minimum-degree-removal lower bound, and the min-fill order as the upper
 bound. Small graphs only; the heuristic path has no size cap.
+
+The min-fill order (Bodlaender & Koster, Treewidth computations I: upper
+bounds, 2010) eliminates a vertex of least fill-in at each step, ties going
+to the lowest vertex id. A lazy heap of (fill, vertex) entries finds it;
+after an elimination only the fill of the eliminated vertex's neighbours and
+their neighbours can change, so only those are recomputed and pushed again.
+
+Validation is linear in the size of the decomposition plus the graph: the
+tree shape is checked by one walk down from the root, arcs by intersecting
+per-vertex node sets, and each vertex's subtree by counting its topmost
+nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+import heapq
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import GuardExceeded, InputError, InternalInvariantError
 from .graph import LabeledGraph, Walk, is_non_null_cycle, walk_vertices
@@ -71,19 +83,21 @@ def validate_tree_decomposition(g: LabeledGraph, td: TreeDecomposition) -> None:
     if set(td.parent) != node_set or set(td.bags) != node_set:
         raise InputError("parent map and bags must cover exactly the nodes")
     root = td.root  # raises unless unique
-    # parent links must form a tree: every node walks up to the root
     for n in td.nodes:
-        seen = set()
-        walk = n
-        while walk is not None:
-            if walk in seen:
-                raise InputError("parent links contain a cycle")
-            if walk not in node_set:
-                raise InputError(f"parent link leaves the node set at {walk}")
-            seen.add(walk)
-            walk = td.parent[walk]
-        if root not in seen:
-            raise InputError(f"node {n} does not reach the root")
+        p = td.parent[n]
+        if p is not None and p not in node_set:
+            raise InputError(f"parent link leaves the node set at {p}")
+    # parent links form a tree exactly when every node is reached walking
+    # down from the root; the nodes missed sit on parent cycles
+    kids = td.children()
+    reached = 1
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        reached += len(kids[n])
+        stack.extend(kids[n])
+    if reached != len(td.nodes):
+        raise InputError("parent links contain a cycle")
     vertex_set = set(g.vertices)
     for n, bag in td.bags.items():
         if not bag <= vertex_set:
@@ -96,22 +110,18 @@ def validate_tree_decomposition(g: LabeledGraph, td: TreeDecomposition) -> None:
         if not where[v]:
             raise InputError(f"vertex {v} appears in no bag")
     for a in g.arcs:
-        if not any(a.tail in bag and a.head in bag for bag in td.bags.values()):
+        if where[a.tail].isdisjoint(where[a.head]):
             raise InputError(f"arc {a.id} has no bag containing both endpoints")
-    kids = td.children()
+    # in a tree, the nodes holding v are connected exactly when one of them
+    # has a parent that does not hold v (or no parent at all)
+    tops: dict[int, int] = dict.fromkeys(g.vertices, 0)
+    for n, bag in td.bags.items():
+        p = td.parent[n]
+        above = td.bags[p] if p is not None else frozenset()
+        for v in bag - above:
+            tops[v] += 1
     for v in g.vertices:
-        # the bag-set of v must induce a connected subtree
-        nodes_v = where[v]
-        start = next(iter(nodes_v))
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in kids[n] + ((td.parent[n],) if td.parent[n] is not None else ()):
-                if m in nodes_v and m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        if seen != nodes_v:
+        if tops[v] != 1:
             raise InputError(f"bags containing vertex {v} are not connected")
 
 
@@ -132,17 +142,27 @@ def td_from_json_dict(doc: dict) -> TreeDecomposition:
     nodes = doc["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(n, int) for n in nodes):
         raise InputError("'nodes' must be a list of integers")
+    for key in ("parent", "bags"):
+        if not isinstance(doc[key], dict):
+            raise InputError(f"'{key}' must be an object keyed by node id")
     parent: dict[int, Optional[int]] = {}
     for key, value in doc["parent"].items():
         if value is not None and not isinstance(value, int):
             raise InputError("parent entries must be integers or null")
-        parent[int(key)] = value
+        parent[_node_key(key)] = value
     bags: dict[int, frozenset[int]] = {}
     for key, value in doc["bags"].items():
         if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
             raise InputError("bags must be lists of integers")
-        bags[int(key)] = frozenset(value)
+        bags[_node_key(key)] = frozenset(value)
     return TreeDecomposition(tuple(nodes), parent, bags)
+
+
+def _node_key(key: object) -> int:
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise InputError(f"node key {key!r} is not an integer") from None
 
 
 # Elimination machinery ---------------------------------------------------------
@@ -176,29 +196,45 @@ def _elimination_width(adj: dict[int, set[int]], order: list[int]) -> int:
     return width
 
 
+def _fill(work: dict[int, set[int]], v: int) -> int:
+    """Non-adjacent pairs among v's neighbours."""
+    ns = work[v]
+    d = len(ns) - 1
+    return sum(d - len(ns & work[u]) for u in ns) // 2
+
+
+def _eliminate(work: dict[int, set[int]], v: int) -> set[int]:
+    """Remove v and make its neighbourhood a clique; returns the neighbours."""
+    ns = work.pop(v)
+    for u in ns:
+        nu = work[u]
+        nu.discard(v)
+        nu |= ns
+        nu.discard(u)
+    return ns
+
+
 def _min_fill_order(adj: dict[int, set[int]]) -> list[int]:
     work = {v: set(ns) for v, ns in adj.items()}
+    fill = {v: _fill(work, v) for v in work}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
     order: list[int] = []
-    while work:
-        best_v, best_fill = None, None
-        for v in sorted(work):
-            ns = sorted(work[v])
-            fill = sum(
-                1
-                for i in range(len(ns))
-                for j in range(i + 1, len(ns))
-                if ns[j] not in work[ns[i]]
-            )
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        ns = work.pop(best_v)
+    while heap:
+        f, v = heapq.heappop(heap)
+        if v not in work or fill[v] != f:
+            continue  # stale entry
+        ns = _eliminate(work, v)
+        del fill[v]
+        order.append(v)
+        touched = set(ns)
         for u in ns:
-            work[u].discard(best_v)
-        for u in ns:
-            for w in ns:
-                if u != w:
-                    work[u].add(w)
-        order.append(best_v)
+            touched |= work[u]
+        for u in touched:
+            new = _fill(work, u)
+            if new != fill[u]:
+                fill[u] = new
+                heapq.heappush(heap, (new, u))
     return order
 
 
@@ -247,8 +283,9 @@ def _feasible_order(adj: dict[int, set[int]], w: int) -> Optional[list[int]]:
     return search(frozenset(), [])
 
 
-def _decomposition_from_order(g: LabeledGraph, order: list[int]) -> TreeDecomposition:
-    adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
+def _decomposition_from_order(
+    adj: dict[int, set[int]], order: list[int]
+) -> TreeDecomposition:
     if not order:
         return TreeDecomposition((0,), {0: None}, {0: frozenset()})
     position = {v: i for i, v in enumerate(order)}
@@ -256,17 +293,9 @@ def _decomposition_from_order(g: LabeledGraph, order: list[int]) -> TreeDecompos
     later_neighbor: dict[int, Optional[int]] = {}
     work = {v: set(ns) for v, ns in adj.items()}
     for idx, v in enumerate(order):
-        ns = set(work[v])
-        bags[idx] = frozenset({v} | ns)
-        later_neighbor[idx] = (
-            position[min(ns, key=lambda u: position[u])] if ns else None
-        )
-        for u in ns:
-            work[u].discard(v)
-            for x in ns:
-                if x != u:
-                    work[u].add(x)
-        del work[v]
+        ns = _eliminate(work, v)
+        bags[idx] = frozenset(ns | {v})
+        later_neighbor[idx] = min(position[u] for u in ns) if ns else None
     parent: dict[int, Optional[int]] = {}
     for idx in range(len(order)):
         nxt = later_neighbor[idx]
@@ -287,21 +316,21 @@ def tree_decomposition(g: LabeledGraph, mode: str = "exact") -> TreeDecompositio
         raise InputError(f"unknown decomposition mode {mode!r}")
     adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
     if mode == "heuristic":
-        return _decomposition_from_order(g, _min_fill_order(adj))
+        return _decomposition_from_order(adj, _min_fill_order(adj))
     if g.n > EXACT_VERTEX_CAP:
         raise GuardExceeded(
             f"exact treewidth capped at {EXACT_VERTEX_CAP} vertices, got {g.n}"
         )
     if g.n == 0:
-        return _decomposition_from_order(g, [])
+        return _decomposition_from_order(adj, [])
     upper_order = _min_fill_order(adj)
     upper = _elimination_width(adj, upper_order)
     lower = _mmd_lower_bound(adj)
     for w in range(lower, upper):
         order = _feasible_order(adj, w)
         if order is not None:
-            return _decomposition_from_order(g, order)
-    return _decomposition_from_order(g, upper_order)
+            return _decomposition_from_order(adj, order)
+    return _decomposition_from_order(adj, upper_order)
 
 
 def treewidth_exact(g: LabeledGraph) -> int:
@@ -349,62 +378,61 @@ def packing_or_cover_bounded_tw(
     """Either k vertex-disjoint non-null cycles or a gfvs of size at most
     (k-1)(w+1), w the decomposition width.
 
-    Unrolled induction: while budget remains, find the lowest decomposition
+    Unrolled induction: while budget remains, take the lowest decomposition
     node whose live subtree-vertex set induces a non-null cycle, keep that
     cycle, add the node's live bag to the cover, and delete the subtree
     vertices. A non-null cycle avoiding the bag would sit inside a single
     child subtree (contradicting lowest) or survive the deletion, so the
     final clean graph certifies the cover; the kept cycles are pairwise
     disjoint by construction, so surviving all k-1 rounds yields a packing.
+
+    One post-order sweep picks the same nodes as restarting the scan after
+    every round would. Deleting vertices cannot make a clean subtree
+    unclean, so every node before the last chosen one stays clean, and the
+    chosen node's subtree is empty afterwards. A node's live subtree set is
+    (bag | children's sets) & live at the moment the sweep reaches it;
+    intersecting with the current live set corrects children's sets that
+    were taken before later deletions.
     """
     if k < 1:
         raise InputError("k must be positive")
     validate_tree_decomposition(g, td)
     w = td.width
-    order = td.post_order()
     kids = td.children()
 
     live = set(g.vertices)
     cover: set[int] = set()
     cycles: list[Walk] = []
-    budget = k
-    while True:
-        current = g.induced_subgraph(live)
-        if is_clean(current):
-            cert = GfvsCertificate(tuple(sorted(cover)), True)
-            if len(cover) > (k - 1) * (w + 1):
-                raise InternalInvariantError(
-                    f"cover {len(cover)} exceeds ({k}-1)({w}+1)"
-                )
-            if not verify_gfvs(g, cert.vertices).verified:
-                raise InternalInvariantError("constructed cover fails verification")
-            return cert
-        if budget == 1:
-            witness = find_non_null_cycle(current)
-            cycles.append(witness)
-            if len(cycles) != k:
-                raise InternalInvariantError("packing is missing cycles")
-            cert = PackingCertificate(tuple(cycles), "integral")
-            if not verify_packing(g, cert):
-                raise InternalInvariantError("constructed packing fails verification")
-            return cert
-        # live vertex set of each subtree, bottom-up
-        alpha: dict[int, frozenset[int]] = {}
-        for node in order:
-            parts = [td.bags[node] & live]
-            parts.extend(alpha[c] for c in kids[node])
-            alpha[node] = frozenset().union(*parts)
-        chosen = None
-        for node in order:
-            if not is_clean(current, alpha[node]):
-                chosen = node
-                break
-        if chosen is None:
+    alpha: dict[int, set[int]] = {}
+    sweep = td.post_order() if k > 1 else []
+    for node in sweep:
+        subtree = set(td.bags[node])
+        for c in kids[node]:
+            subtree |= alpha.pop(c)
+        subtree &= live
+        alpha[node] = subtree
+        if is_clean(g, subtree):
+            continue
+        cycles.append(find_non_null_cycle(g.induced_subgraph(subtree)))
+        cover |= td.bags[node] & live
+        live -= subtree
+        if len(cycles) == k - 1:
+            break
+
+    current = g.induced_subgraph(live)
+    if is_clean(current):
+        cert = GfvsCertificate(tuple(sorted(cover)), True)
+        if len(cover) > (k - 1) * (w + 1):
             raise InternalInvariantError(
-                "graph is not clean but every subtree is"
+                f"cover {len(cover)} exceeds ({k}-1)({w}+1)"
             )
-        witness = find_non_null_cycle(current.induced_subgraph(alpha[chosen]))
-        cycles.append(witness)
-        cover |= td.bags[chosen] & live
-        live -= alpha[chosen]
-        budget -= 1
+        if not verify_gfvs(g, cert.vertices).verified:
+            raise InternalInvariantError("constructed cover fails verification")
+        return cert
+    if len(cycles) != k - 1:
+        raise InternalInvariantError("graph is not clean but every subtree is")
+    cycles.append(find_non_null_cycle(current))
+    cert = PackingCertificate(tuple(cycles), "integral")
+    if not verify_packing(g, cert):
+        raise InternalInvariantError("constructed packing fails verification")
+    return cert

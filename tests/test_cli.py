@@ -133,6 +133,25 @@ class TestSolveVerify:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize(
+        "td",
+        [
+            {"nodes": [0], "parent": [None], "bags": {"0": [0, 1, 2]}},
+            {"nodes": [0], "parent": {"0": None}, "bags": [[0, 1, 2]]},
+            {"nodes": [0], "parent": {"x": None}, "bags": {"0": [0, 1, 2]}},
+            {"nodes": [0], "parent": {"0": None}, "bags": {"x": [0, 1, 2]}},
+            {"nodes": [0], "parent": None, "bags": {"0": [0, 1, 2]}},
+        ],
+        ids=["parent-list", "bags-list", "parent-key", "bag-key", "parent-null"],
+    )
+    def test_malformed_td_is_input_error(self, tmp_path, capsys, td):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
+        tdpath = tmp_path / "td.json"
+        tdpath.write_text(json.dumps(td))
+        code, _, err = run(capsys, "solve", gpath, "-k", "1", "--td", str(tdpath))
+        assert code == 2
+        assert "error" in err
+
     def test_paper_mode(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
         code, out, _ = run(capsys, "solve", gpath, "-k", "1", "--thresholds", "paper")

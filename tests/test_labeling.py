@@ -106,6 +106,57 @@ class TestCleanDecision:
         assert set(result.labeling) == {0, 1, 2, 3}
 
 
+class TestCleanSubset:
+    """is_clean(g, s) walks g's incidence lists inside s; it must agree with
+    building the induced subgraph and testing that."""
+
+    def check(self, g, s):
+        assert is_clean(g, s) == is_clean(g.induced_subgraph(s)), sorted(s)
+
+    def test_matches_induced_subgraph_on_randoms(self):
+        # random arcs include loops and parallel arcs
+        for seed in range(60):
+            spec = SPECS[seed % len(SPECS)]
+            g = random_graph(seed + 400, 8, 8 + seed % 9, spec)
+            rng = random.Random(seed)
+            for _ in range(6):
+                self.check(g, {v for v in g.vertices if rng.random() < 0.6})
+
+    def test_non_identity_loop(self):
+        g = build_graph(Cyclic(3), 3, [(0, 1, 0), (1, 2, 0), (2, 2, 1)])
+        assert not is_clean(g, {2})
+        assert not is_clean(g, {1, 2})
+        assert is_clean(g, {0, 1})
+
+    def test_parallel_arcs(self):
+        g = build_graph(Cyclic(5), 3, [(0, 1, 1), (0, 1, 2), (1, 2, 3)])
+        assert not is_clean(g, {0, 1})
+        assert is_clean(g, {1, 2})
+        self.check(g, {0, 1, 2})
+
+    def test_s3_labels(self):
+        s3 = Symmetric(3)
+        swap = make_element(s3, (2, 1, 3))
+        cyc = make_element(s3, (2, 3, 1))
+        e = identity(s3)
+        # the triangle's value is swap * cyc, not the identity
+        g = build_graph(s3, 4, [(0, 1, swap), (1, 2, cyc), (2, 0, e), (2, 3, swap)])
+        assert not is_clean(g, {0, 1, 2})
+        assert is_clean(g, {1, 2, 3})
+        for s in ({0, 1, 2}, {0, 2, 3}, {0, 1, 2, 3}):
+            self.check(g, s)
+
+    def test_empty_subset(self):
+        g = build_graph(Cyclic(2), 2, [(0, 0, 1), (0, 1, 1)])
+        assert is_clean(g, set())
+        assert is_clean(g, [])
+
+    def test_unknown_vertex_rejected(self):
+        g = build_graph(Cyclic(2), 2, [(0, 1, 1)])
+        with pytest.raises(InputError, match="not in graph"):
+            is_clean(g, {0, 5})
+
+
 class TestShift:
     def test_preserves_cycle_values_up_to_conjugacy(self):
         for seed in range(20):

@@ -10,14 +10,23 @@ import random
 
 import pytest
 
+import epkit.labeling
+from epkit.certificates import Certificate, certificate_to_json_dict
 from epkit.errors import GuardExceeded, InputError
+from epkit.generators import odd_cycles, zm_grid
 from epkit.graph import build_graph, is_non_null_cycle, walk_vertices
-from epkit.groups import Cyclic, elements
-from epkit.labeling import GfvsCertificate, is_clean, verify_gfvs
+from epkit.groups import Cyclic, Symmetric, elements
+from epkit.labeling import (
+    GfvsCertificate,
+    find_non_null_cycle,
+    is_clean,
+    verify_gfvs,
+)
 from epkit.oracle import packing_number
 from epkit.treedec import (
     PackingCertificate,
     TreeDecomposition,
+    _min_fill_order,
     packing_or_cover_bounded_tw,
     td_from_json_dict,
     td_to_json_dict,
@@ -26,6 +35,7 @@ from epkit.treedec import (
     validate_tree_decomposition,
     verify_packing,
 )
+from epkit.verify import verify_certificate
 
 Z2 = Cyclic(2)
 
@@ -176,6 +186,59 @@ class TestHeuristic:
             assert tree_decomposition(g, "heuristic").width >= treewidth_exact(g)
 
 
+def reference_validate(g, td):
+    """The definition-level validator: walk every node up to the root, scan
+    every bag for every arc, and search each vertex's nodes for
+    connectivity. Returns the error message, or None when td is valid."""
+    try:
+        if not td.nodes:
+            raise InputError("decomposition has no nodes")
+        if len(set(td.nodes)) != len(td.nodes):
+            raise InputError("duplicate decomposition nodes")
+        node_set = set(td.nodes)
+        if set(td.parent) != node_set or set(td.bags) != node_set:
+            raise InputError("parent map and bags must cover exactly the nodes")
+        td.root
+        for n in td.nodes:
+            seen = set()
+            walk = n
+            while walk is not None:
+                if walk in seen:
+                    raise InputError("parent links contain a cycle")
+                if walk not in node_set:
+                    raise InputError(f"parent link leaves the node set at {walk}")
+                seen.add(walk)
+                walk = td.parent[walk]
+        for n, bag in td.bags.items():
+            if not bag <= set(g.vertices):
+                raise InputError(f"bag of node {n} contains unknown vertices")
+        where = {v: {n for n, bag in td.bags.items() if v in bag} for v in g.vertices}
+        for v in g.vertices:
+            if not where[v]:
+                raise InputError(f"vertex {v} appears in no bag")
+        for a in g.arcs:
+            if not any(a.tail in bag and a.head in bag for bag in td.bags.values()):
+                raise InputError(f"arc {a.id} has no bag containing both endpoints")
+        for v in g.vertices:
+            start = next(iter(where[v]))
+            seen = {start}
+            stack = [start]
+            while stack:
+                n = stack.pop()
+                near = [m for m in td.nodes if td.parent[m] == n]
+                if td.parent[n] is not None:
+                    near.append(td.parent[n])
+                for m in near:
+                    if m in where[v] and m not in seen:
+                        seen.add(m)
+                        stack.append(m)
+            if seen != where[v]:
+                raise InputError(f"bags containing vertex {v} are not connected")
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
 class TestValidator:
     def build(self):
         g = plain(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -234,7 +297,7 @@ class TestValidator:
                 2: frozenset({1}),
             },
         )
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="parent links contain a cycle"):
             validate_tree_decomposition(g, td)
 
     def test_unknown_bag_vertex_rejected(self):
@@ -242,6 +305,57 @@ class TestValidator:
         td = TreeDecomposition((0,), {0: None}, {0: frozenset({0, 1, 9})})
         with pytest.raises(InputError, match="unknown"):
             validate_tree_decomposition(g, td)
+
+    def test_parent_outside_node_set_rejected(self):
+        g = plain(2, [(0, 1)])
+        td = TreeDecomposition(
+            (0, 1), {0: None, 1: 7}, {0: frozenset({0, 1}), 1: frozenset({1})}
+        )
+        with pytest.raises(InputError, match="leaves the node set at 7"):
+            validate_tree_decomposition(g, td)
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            {0: None, 1: 0, 2: 2},
+            {0: None, 1: 2, 2: 3, 3: 1},
+        ],
+    )
+    def test_parent_cycle_avoiding_root_rejected(self, parent):
+        g = plain(2, [(0, 1)])
+        nodes = tuple(parent)
+        bags = {n: frozenset({0, 1}) for n in nodes}
+        td = TreeDecomposition(nodes, parent, bags)
+        with pytest.raises(InputError, match="parent links contain a cycle"):
+            validate_tree_decomposition(g, td)
+
+    def test_matches_reference_on_mutations(self):
+        # every single mutation of a valid decomposition gets the verdict
+        # and the message of the definition-level validator
+        rng = random.Random(11)
+        verdicts = set()
+        for seed in range(60):
+            g = random_labeled(seed, 4 + seed % 9, 5 + seed % 11, Z2)
+            td = tree_decomposition(g, "heuristic" if seed % 2 else "exact")
+            parent, bags = dict(td.parent), dict(td.bags)
+            node = rng.choice(td.nodes)
+            kind = seed % 3
+            if kind == 0 and bags[node]:
+                bags[node] = bags[node] - {rng.choice(sorted(bags[node]))}
+            elif kind == 1:
+                bags[node] = bags[node] | {rng.randrange(g.n)}
+            elif parent[node] is not None:
+                parent[node] = rng.choice(td.nodes)
+            mutated = TreeDecomposition(td.nodes, parent, bags)
+            expected = reference_validate(g, mutated)
+            try:
+                validate_tree_decomposition(g, mutated)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            assert got == expected, f"seed {seed}"
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
 
 
 class TestJson:
@@ -386,3 +500,153 @@ class TestVerifyPacking:
     def test_bad_integrality_rejected(self):
         with pytest.raises(InputError):
             PackingCertificate((), "fractional")
+
+
+def reference_min_fill_order(adj):
+    """Min-fill by rescanning every vertex at every step; the lowest vertex
+    wins ties."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    order = []
+    while work:
+        best_v, best_fill = None, None
+        for v in sorted(work):
+            ns = sorted(work[v])
+            fill = sum(
+                1
+                for i in range(len(ns))
+                for j in range(i + 1, len(ns))
+                if ns[j] not in work[ns[i]]
+            )
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        ns = work.pop(best_v)
+        for u in ns:
+            work[u].discard(best_v)
+        for u in ns:
+            for x in ns:
+                if u != x:
+                    work[u].add(x)
+        order.append(best_v)
+    return order
+
+
+def reference_packing_or_cover(g, k, td):
+    """The k-round loop: every round recomputes all live subtree sets and
+    scans post-order from the first node for the lowest non-clean one."""
+    order = td.post_order()
+    kids = td.children()
+    live = set(g.vertices)
+    cover = set()
+    cycles = []
+    budget = k
+    while True:
+        current = g.induced_subgraph(live)
+        if is_clean(current):
+            return GfvsCertificate(tuple(sorted(cover)), True)
+        if budget == 1:
+            cycles.append(find_non_null_cycle(current))
+            return PackingCertificate(tuple(cycles), "integral")
+        alpha = {}
+        for node in order:
+            parts = [td.bags[node] & live]
+            parts.extend(alpha[c] for c in kids[node])
+            alpha[node] = frozenset().union(*parts)
+        chosen = next(
+            node for node in order
+            if not is_clean(current.induced_subgraph(alpha[node]))
+        )
+        cycles.append(find_non_null_cycle(current.induced_subgraph(alpha[chosen])))
+        cover |= td.bags[chosen] & live
+        live -= alpha[chosen]
+        budget -= 1
+
+
+def certificate_bytes(k, outcome):
+    doc = certificate_to_json_dict(Certificate(k=k, outcome=outcome, trail=()))
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+class TestMinFillOrder:
+    def check(self, g):
+        adj = adjacency_sets(g)
+        assert _min_fill_order(adj) == reference_min_fill_order(adj)
+
+    def test_random_graphs(self):
+        for seed in range(60):
+            n = 1 + seed % 25
+            self.check(random_plain(500 + seed, n, (seed % 7 + 1) / 10))
+
+    def test_all_ties(self):
+        # every vertex has fill 0 in an edgeless graph and in a clique
+        self.check(plain(9, []))
+        self.check(plain(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]))
+
+    def test_isolated_and_disconnected(self):
+        g = plain(12, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4), (9, 10)])
+        self.check(g)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 7), (3, 5), (4, 4), (5, 6)])
+    def test_grids(self, rows, cols):
+        self.check(grid(rows, cols))
+
+
+class TestSweepMatchesRounds:
+    SPECS = [Cyclic(2), Cyclic(3), Cyclic(6), Symmetric(3)]
+
+    def check(self, g, td):
+        for k in (1, 2, 3, 4):
+            got = packing_or_cover_bounded_tw(g, k, td)
+            want = reference_packing_or_cover(g, k, td)
+            assert certificate_bytes(k, got) == certificate_bytes(k, want)
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_small_random(self, mode):
+        for seed in range(40):
+            spec = self.SPECS[seed % 4]
+            n = 5 + seed % 10
+            g = random_labeled(2000 + seed, n, n + seed % 9, spec)
+            self.check(g, tree_decomposition(g, mode))
+
+    def test_larger_heuristic(self):
+        for seed in range(8):
+            spec = self.SPECS[seed % 4]
+            g = random_labeled(3000 + seed, 40, 48, spec)
+            self.check(g, tree_decomposition(g, "heuristic"))
+
+    def test_families(self):
+        for g in (
+            odd_cycles(6, 3),
+            odd_cycles(2, 9),
+            zm_grid(3, 3, 8),
+            triangles(4, [1, 0, 1, 0]),
+            plain(6, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+        ):
+            self.check(g, tree_decomposition(g, "heuristic"))
+
+
+class TestScale:
+    def test_work_is_linear_in_nodes(self, monkeypatch):
+        calls = 0
+        real = epkit.labeling.find_consistent_labeling
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return real(g)
+
+        monkeypatch.setattr(epkit.labeling, "find_consistent_labeling", counted)
+        g = odd_cycles(300, 3)
+        td = tree_decomposition(g, "heuristic")
+        result = packing_or_cover_bounded_tw(g, 200, td)
+        assert isinstance(result, PackingCertificate)
+        assert result.k == 200
+        assert calls <= len(td.nodes) + 200 + 2
+
+    @pytest.mark.parametrize(
+        "g,k", [(odd_cycles(1, 3000), 1), (zm_grid(4, 3, 100), 3)]
+    )
+    def test_large_instances_verify(self, g, k):
+        td = tree_decomposition(g, "heuristic")
+        outcome = packing_or_cover_bounded_tw(g, k, td)
+        ok, why = verify_certificate(g, Certificate(k=k, outcome=outcome, trail=()))
+        assert ok, why
