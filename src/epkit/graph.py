@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .errors import InputError
 from .groups import (
     GroupElement,
@@ -213,11 +211,6 @@ def concat_walks(g: LabeledGraph, first: Walk, second: Walk) -> Walk:
     return Walk(first.steps + second.steps)
 
 
-def is_closed(g: LabeledGraph, walk: Walk) -> bool:
-    seq = walk_vertices(g, walk)
-    return seq[0] == seq[-1]
-
-
 def is_cycle(g: LabeledGraph, walk: Walk) -> bool:
     """True for a simple cycle: closed, vertices distinct apart from the
     closure, length >= 1, and a length-2 cycle uses two distinct arcs."""
@@ -309,16 +302,49 @@ def validate_separation(g: LabeledGraph, sep: Separation) -> None:
 def blocks_and_cut_vertices(g: LabeledGraph) -> tuple[list[frozenset[int]], frozenset[int]]:
     """Biconnected components (as vertex sets) and articulation points of the
     underlying simple graph. Loops are ignored; isolated vertices appear in no
-    block."""
-    sg = nx.Graph()
-    sg.add_nodes_from(g.vertices)
-    for arc in g.arcs:
-        if not arc.is_loop:
-            sg.add_edge(arc.tail, arc.head)
-    blocks = [frozenset(c) for c in nx.biconnected_components(sg)]
+    block.
+
+    One iterative Hopcroft-Tarjan DFS, so deep graphs cannot hit the
+    recursion limit. When the DFS leaves u and low[u] >= disc[parent], the
+    parent separates u's subtree: the block is the parent plus the vertices
+    pushed since u. The cut vertices are those in two or more blocks."""
+    adj = g.simple_adjacency()
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[frozenset[int]] = []
+    for root in g.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        pushed = [root]
+        path = [(root, iter(adj[root]))]
+        while path:
+            u, pending = path[-1]
+            for w in pending:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    pushed.append(w)
+                    path.append((w, iter(adj[w])))
+                    break
+                low[u] = min(low[u], disc[w])
+            else:
+                path.pop()
+                if not path:
+                    continue
+                parent = path[-1][0]
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    block = {parent}
+                    while u not in block:
+                        block.add(pushed.pop())
+                    blocks.append(frozenset(block))
     blocks.sort(key=lambda b: sorted(b))
-    cuts = frozenset(nx.articulation_points(sg))
-    return blocks, cuts
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for block in blocks:
+        cuts |= seen & block
+        seen |= block
+    return blocks, frozenset(cuts)
 
 
 # JSON -----------------------------------------------------------------------

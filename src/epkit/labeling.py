@@ -240,12 +240,6 @@ def verify_gfvs(g: LabeledGraph, vertices: Iterable[int]) -> GfvsCertificate:
     return GfvsCertificate(tuple(sorted(drop)), verdict)
 
 
-def component_labelings(g: LabeledGraph) -> Optional[dict[int, GroupElement]]:
-    """The labeling when clean, None otherwise."""
-    result = find_consistent_labeling(g)
-    return result.labeling if result.clean else None
-
-
 def non_null_path_exists(g: LabeledGraph, u: int, v: int) -> Optional[Walk]:
     """A simple u-v path with non-identity value, or None.
 

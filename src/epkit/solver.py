@@ -14,23 +14,20 @@ is for the predicate, not for any particular witness set), it is added
 back; the trail records each such repair.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import Certificate
-from .errors import (
-    GuardExceeded,
-    InputError,
-    InternalInvariantError,
-    UnimplementedBranch,
-)
-from .graph import LabeledGraph, Separation
-from .groups import identity, inverse, is_identity, multiply
+from .errors import InputError, InternalInvariantError, UnimplementedBranch
+from .graph import LabeledGraph, Separation, blocks_and_cut_vertices
+from .groups import is_identity
 from .labeling import GfvsCertificate, find_non_null_cycle, is_clean, verify_gfvs
 from .oracle import DEFAULT_GUARDS, OracleGuards, max_packing, min_gfvs
 from .packing import (
     EXPANSION_ORDER_CAP,
     CliqueExpansion,
+    _restrict_expansion,
     clique_branch_irrelevant,
     clique_branch_separation,
     find_clique_expansion,
@@ -106,57 +103,45 @@ def _report_int(n: int) -> object:
     return {"bits": n.bit_length()}
 
 
-def strip_null_arcs(
-    g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS
-) -> LabeledGraph:
+def strip_null_arcs(g: LabeledGraph) -> LabeledGraph:
     """Remove every arc that lies on no non-null cycle.
 
-    An arc u -> v with label a lies on a non-null cycle exactly when some
-    simple v-u path avoiding the arc has a value other than a^-1 (for a
-    loop: when a is not the identity). Removing such arcs deletes no
-    non-null cycle, because every arc of a non-null cycle is justified by
-    that cycle; iteration confirms the fixpoint.
+    A loop is a cycle on its own and lies on no other, so it stays exactly
+    when its label is not the identity. Any other arc stays exactly when
+    its biconnected block is not clean:
+    - every cycle lies inside one block, so an arc of a clean block lies
+      on no non-null cycle;
+    - in a 2-connected block with a non-null cycle C, an arc e and C span
+      a theta subgraph (e may be an arc of C, or a chord of it);
+    - two of the theta's three cycles contain e, and by the theta property
+      of gain graphs (if two cycles of a theta are null, so is the third)
+      they cannot both be null, since the third cycle is C.
+    Blocks are checked without loops, because a non-identity loop would
+    make its block look dirty on its own. Removing arcs that lie on no
+    non-null cycle leaves every non-null cycle intact, so one pass is the
+    fixpoint. The result keeps the arc order and the vertex set, and is g
+    itself when nothing is removed.
     """
-    if g.n > guards.max_vertices:
-        raise GuardExceeded(
-            f"arc stripping limited to {guards.max_vertices} vertices, got {g.n}"
-        )
-    current = g
-    while True:
-        drop = [a.id for a in current.arcs if not _on_non_null_cycle(current, a.id)]
-        if not drop:
-            return current
-        current = current.delete_arcs(drop)
-
-
-def _on_non_null_cycle(g: LabeledGraph, arc_id: int) -> bool:
-    arc = g.arc(arc_id)
-    if arc.is_loop:
-        return not is_identity(arc.label)
-    # the cycle value is the arc label times the return-path value, so the
-    # cycle is non-null exactly when the path value differs from the inverse
-    target = inverse(arc.label)
-    found = False
-
-    def dfs(v: int, visited: frozenset[int], value) -> None:
-        nonlocal found
-        for nxt in g.incident(v):
-            if found:
-                return
-            if nxt.id == arc_id or nxt.is_loop:
-                continue
-            w = nxt.other(v)
-            label = nxt.label if nxt.tail == v else inverse(nxt.label)
-            extended = multiply(value, label)
-            if w == arc.tail:
-                if extended != target:
-                    found = True
-                    return
-            elif w not in visited:
-                dfs(w, visited | {w}, extended)
-
-    dfs(arc.head, frozenset({arc.head}), identity(g.group))
-    return found
+    loop_ids = [a.id for a in g.arcs if a.is_loop]
+    loopless = g.delete_arcs(loop_ids) if loop_ids else g
+    # a bridge is a block without a cycle; skipping it keeps a hub with
+    # many bridges from scanning its incidence list once per bridge
+    multiplicity = Counter(frozenset((a.tail, a.head)) for a in loopless.arcs)
+    dirty_at: dict[int, set[int]] = {}
+    for i, block in enumerate(blocks_and_cut_vertices(loopless)[0]):
+        if len(block) == 2 and multiplicity[block] == 1:
+            continue
+        if not is_clean(loopless, block):
+            for v in block:
+                dirty_at.setdefault(v, set()).add(i)
+    drop = []
+    for a in g.arcs:
+        if a.is_loop:
+            if is_identity(a.label):
+                drop.append(a.id)
+        elif not dirty_at.get(a.tail, set()) & dirty_at.get(a.head, set()):
+            drop.append(a.id)
+    return g.delete_arcs(drop) if drop else g
 
 
 def _oracle_fallback(
@@ -177,17 +162,7 @@ def _restrict_to_free_supernodes(
     keep = [mv for mv in sorted(eta.supernodes) if not (eta.supernodes[mv] & boundary)]
     if len(keep) < 2:
         return None
-    keep_set = set(keep)
-    return CliqueExpansion(
-        supernodes={mv: eta.supernodes[mv] for mv in keep},
-        tree_edges={mv: eta.tree_edges[mv] for mv in keep},
-        edge_map={
-            pair: arc_id
-            for pair, arc_id in eta.edge_map.items()
-            if pair[0] in keep_set and pair[1] in keep_set
-        },
-        centers={mv: eta.centers[mv] for mv in keep},
-    )
+    return _restrict_expansion(eta, keep)
 
 
 def _required_order(k: int, mode: str) -> int:
@@ -246,7 +221,7 @@ def _solve(
     deletions: list[tuple[LabeledGraph, int]] = []
 
     while True:
-        stripped = strip_null_arcs(current, guards)
+        stripped = strip_null_arcs(current)
         trail.append(
             {
                 "step": "strip",

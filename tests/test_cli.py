@@ -126,9 +126,7 @@ class TestSolveVerify:
         assert code == 2
 
     def test_guard_exit_code(self, tmp_path, capsys):
-        gpath = write_graph(
-            tmp_path, "big.json", ["gen", "zm_grid", "--modulus", "2", "--rows", "4", "--cols", "4"], capsys
-        )
+        gpath = write_graph(tmp_path, "big.json", ["gen", "odd_cycles", "--count", "7"], capsys)
         code, _, err = run(capsys, "solve", gpath, "-k", "1")
         assert code == 3
         assert "guard" in err

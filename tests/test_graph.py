@@ -1,5 +1,7 @@
 import json
+import random
 
+import networkx as nx
 import pytest
 
 from epkit.errors import InputError
@@ -214,6 +216,40 @@ class TestBlocks:
         blocks, cuts = blocks_and_cut_vertices(g)
         assert blocks == [frozenset({0, 1})]
         assert cuts == frozenset()
+
+    def test_matches_networkx(self):
+        rng = random.Random(4471973)
+        for trial in range(500):
+            n = rng.randint(1, 14)
+            arcs = []
+            # a few random pieces, so graphs come disconnected, with
+            # bridges between cycles and with isolated vertices
+            for _ in range(rng.randint(1, 3)):
+                piece = rng.sample(range(n), rng.randint(1, n))
+                for _ in range(rng.randint(0, 2 * len(piece))):
+                    u, v = rng.choice(piece), rng.choice(piece)
+                    arcs.append((u, v, 0))
+                    if rng.random() < 0.1:
+                        arcs.append((v, u, 1))
+            g = build_graph(z(2), n, arcs)
+            assert blocks_and_cut_vertices(g) == reference_blocks(g), trial
+
+    def test_long_cycle_needs_no_recursion(self):
+        n = 3000
+        g = build_graph(z(2), n, [(i, (i + 1) % n, 0) for i in range(n)])
+        assert blocks_and_cut_vertices(g) == ([frozenset(range(n))], frozenset())
+        path = build_graph(z(2), n, [(i, i + 1, 0) for i in range(n - 1)])
+        blocks, cuts = blocks_and_cut_vertices(path)
+        assert len(blocks) == n - 1
+        assert cuts == frozenset(range(1, n - 1))
+
+
+def reference_blocks(g):
+    sg = nx.Graph()
+    sg.add_nodes_from(g.vertices)
+    sg.add_edges_from((a.tail, a.head) for a in g.arcs if not a.is_loop)
+    blocks = sorted((frozenset(c) for c in nx.biconnected_components(sg)), key=sorted)
+    return blocks, frozenset(nx.articulation_points(sg))
 
 
 class TestSeparation:

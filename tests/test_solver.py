@@ -6,6 +6,7 @@ their expected outcomes were measured once and frozen.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from epkit.certificates import certificate_to_json_dict
 from epkit.errors import GuardExceeded, InputError, UnimplementedBranch
 from epkit.generators import escher_wall, odd_cycles, random_instance, zm_grid
 from epkit.graph import build_graph, dump_json
-from epkit.groups import Cyclic, Symmetric
+from epkit.groups import Cyclic, Symmetric, elements, identity, inverse, is_identity, multiply
 from epkit.labeling import GfvsCertificate, is_clean
 from epkit.oracle import OracleGuards, enumerate_non_null_cycles
 from epkit.packing import CliqueExpansion
@@ -72,6 +73,57 @@ def gated_core():
     return g, singleton_expansion(g, core)
 
 
+def reference_strip(g):
+    """The definition: drop every arc that lies on no non-null cycle, by a
+    simple-path DFS per arc, repeated until nothing changes."""
+    current = g
+    while True:
+        drop = [a.id for a in current.arcs if not on_non_null_cycle(current, a)]
+        if not drop:
+            return current
+        current = current.delete_arcs(drop)
+
+
+def on_non_null_cycle(g, arc):
+    if arc.is_loop:
+        return not is_identity(arc.label)
+    # the cycle is non-null exactly when some head-to-tail path avoiding
+    # the arc has a value other than the arc label's inverse
+    target = inverse(arc.label)
+
+    def dfs(v, visited, value):
+        for nxt in g.incident(v):
+            if nxt.id == arc.id or nxt.is_loop:
+                continue
+            w = nxt.other(v)
+            extended = multiply(value, nxt.label if nxt.tail == v else inverse(nxt.label))
+            if w == arc.tail:
+                if extended != target:
+                    return True
+            elif w not in visited and dfs(w, visited | {w}, extended):
+                return True
+        return False
+
+    return dfs(arc.head, frozenset({arc.head}), identity(g.group))
+
+
+def random_strip_instance(rng, group):
+    """Up to 12 vertices, some isolated, with identity and non-identity
+    loops and parallel arcs."""
+    pool = list(elements(group))
+    n = rng.randint(1, 12)
+    used = rng.randint(1, n)  # vertices from `used` on stay isolated
+    arcs = []
+    for _ in range(rng.randint(0, used + 6)):
+        u, v = rng.randrange(used), rng.randrange(used)
+        # lean toward identity labels so that clean blocks are common
+        label = identity(group) if rng.random() < 0.3 else rng.choice(pool)
+        arcs.append((u, v, label))
+        if u != v and rng.random() < 0.15:
+            arcs.append((v, u, rng.choice(pool)))
+    return build_graph(group, n, arcs)
+
+
 class TestStripNullArcs:
     def test_identity_triangle_all_stripped(self):
         g = z2_graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
@@ -114,10 +166,21 @@ class TestStripNullArcs:
             b = {tuple(sorted(c.steps)) for c in enumerate_non_null_cycles(kept)}
             assert a == b, seed
 
-    def test_guard(self):
-        g = z2_graph(6, [(0, 1, 1)])
-        with pytest.raises(GuardExceeded):
-            strip_null_arcs(g, OracleGuards(max_vertices=5))
+    def test_answers_above_fourteen_vertices(self):
+        g = odd_cycles(5, 3)
+        assert strip_null_arcs(g) is g
+        big = odd_cycles(1, 3000)
+        assert strip_null_arcs(big) is big
+
+    def test_matches_dfs_reference(self):
+        rng = random.Random(20261018)
+        groups = [Cyclic(2), Cyclic(3), Cyclic(6), Symmetric(3)]
+        for trial in range(400):
+            g = random_strip_instance(rng, groups[trial % len(groups)])
+            got = strip_null_arcs(g)
+            want = reference_strip(g)
+            assert [a.id for a in got.arcs] == [a.id for a in want.arcs], trial
+            assert got.vertices == want.vertices == g.vertices, trial
 
 
 class TestThresholdArithmetic:
@@ -211,10 +274,16 @@ class TestSolveBoundedTw:
 
     def test_guard_on_large_instance(self):
         g = z2_graph(15, [(0, 1, 1), (1, 0, 0)])
-        with pytest.raises(GuardExceeded):
-            solve(g, 1)
-        cert = solve(g, 1, guards=OracleGuards(max_vertices=20))
+        cert = solve(g, 1)
         assert cert.kind == "packing"
+        assert verify_certificate(g, cert) == (True, "")
+        # 21 vertices: the S-path duality's oracle still trips its guard
+        big = odd_cycles(7)
+        with pytest.raises(GuardExceeded):
+            solve(big, 1)
+        cert = solve(big, 1, guards=OracleGuards(max_vertices=21))
+        assert cert.kind == "packing"
+        assert verify_certificate(big, cert) == (True, "")
 
 
 class TestSolveExpansionBranch:
