@@ -50,7 +50,10 @@ def walk_from_json_dict(doc: object) -> Walk:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError(f"walk step {i} must be [arc_id, direction]")
         arc_id, direction = entry
-        if not isinstance(arc_id, int) or direction not in (1, -1):
+        # a bool or a float compares equal to 1 but is no JSON integer
+        if type(arc_id) is not int or type(direction) is not int or (
+            direction not in (1, -1)
+        ):
             raise InputError(f"walk step {i} must be [arc_id, 1 or -1]")
         steps.append((arc_id, direction))
     return Walk(tuple(steps))
@@ -81,7 +84,7 @@ def outcome_from_json_dict(doc: object) -> Outcome:
         )
     if kind == "gfvs":
         raw = doc.get("vertices")
-        if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+        if not isinstance(raw, list) or not all(type(v) is int for v in raw):
             raise InputError("gfvs outcome needs an integer vertex list")
         return GfvsCertificate(tuple(raw), False)
     raise InputError(f"unknown outcome kind {kind!r}")
@@ -101,7 +104,7 @@ def certificate_from_json_dict(doc: object) -> Certificate:
     for key in ("k", "outcome", "trail"):
         if key not in doc:
             raise InputError(f"certificate JSON missing {key!r}")
-    if not isinstance(doc["k"], int):
+    if type(doc["k"]) is not int:
         raise InputError("certificate k must be an integer")
     trail = doc["trail"]
     if not isinstance(trail, list) or not all(isinstance(e, dict) for e in trail):

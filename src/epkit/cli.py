@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--oracle-fallback", action="store_true")
     p_solve.add_argument("--expansion-witness", metavar="FILE")
     p_solve.add_argument("--td", metavar="FILE")
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", metavar="FILE")
 
     p_oracle = sub.add_parser("oracle", help="exhaustive ground truth")
@@ -164,7 +163,6 @@ def _cmd_solve(args) -> int:
         tw_threshold=args.tw_threshold,
         thresholds_mode=args.thresholds,
         oracle_fallback=args.oracle_fallback,
-        seed=args.seed,
     )
     cert = solve(g, args.k, cfg, expansion=expansion, td=td)
     _emit(dump_json(certificate_to_json_dict(cert)), args.out)

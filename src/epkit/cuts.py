@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, InternalInvariantError
-from .graph import LabeledGraph, Separation, validate_separation
+from .graph import LabeledGraph, Separation, reach, validate_separation
 from .labeling import is_clean, untangle
 
 Adjacency = dict[int, tuple[int, ...]]
@@ -123,18 +123,6 @@ def _max_vertex_flow(
     return _FlowResult(value, sink_coreach)
 
 
-def _reach(adj: Adjacency, start: Iterable[int], removed: frozenset[int]) -> frozenset[int]:
-    seen = {v for v in start if v not in removed}
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
 def max_disjoint_paths(g: LabeledGraph, a: Iterable[int], b: Iterable[int]) -> int:
     """Maximum number of fully vertex-disjoint paths between two vertex sets
     (shared vertices count as zero-length paths)."""
@@ -180,12 +168,12 @@ class ImportantSeparatorEnumeration:
 
 
 def _is_separator(adj: Adjacency, x: frozenset, y: frozenset, s: frozenset) -> bool:
-    return not (_reach(adj, x, s) & y)
+    return not (reach(adj, x, s) & y)
 
 
 def _inseparable(adj: Adjacency, x: frozenset, y: frozenset) -> bool:
     outside = frozenset(adj) - x - y
-    return bool(_reach(adj, x, outside) & y)
+    return bool(reach(adj, x, outside) & y)
 
 
 def _candidate_separators(
@@ -219,7 +207,7 @@ def _candidate_separators(
     for s in _candidate_separators(adj_minus, x, y, budget - 1):
         out.add(s | {v})
     # branch: v joins the source side, which strictly grows its reach
-    grown = _reach(adj, x, s_max) | {v}
+    grown = reach(adj, x, s_max) | {v}
     for s in _candidate_separators(adj, grown, y, budget):
         out.add(s)
     return out
@@ -236,7 +224,7 @@ def _important_separators_adj(
         if any(_is_separator(adj, x, y, s - {v}) for v in s):
             continue
         minimal.append(s)
-    with_reach = [(s, _reach(adj, x, s)) for s in minimal]
+    with_reach = [(s, reach(adj, x, s)) for s in minimal]
     # drop dominated ones; every domination chain ends at an important
     # separator and those all appear among the candidates, so an in-set
     # check is exact
@@ -313,7 +301,7 @@ def is_multiway_cut(inst: MultiwayCutInstance, s: Iterable[int]) -> bool:
     for start in sorted(inst.terminals):
         if start in seen:
             continue
-        comp = _reach(adj, [start], s_set)
+        comp = reach(adj, [start], s_set)
         seen |= comp & inst.terminals
         touched = {part_of[t] for t in comp & inst.terminals}
         if len(touched) > 1:

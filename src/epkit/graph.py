@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .groups import (
@@ -136,22 +136,32 @@ class LabeledGraph:
         comps: list[frozenset[int]] = []
         adj = self.simple_adjacency()
         for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if start not in seen:
+                comp = reach(adj, [start])
+                seen |= comp
+                comps.append(comp)
         return comps
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LabeledGraph(n={self.n}, m={self.m}, group={self.group!r})"
+
+
+def reach(
+    adj: Mapping[int, Iterable[int]],
+    start: Iterable[int],
+    removed: AbstractSet[int] = frozenset(),
+) -> frozenset[int]:
+    """The vertices reachable from `start` in the adjacency `adj` without
+    entering `removed`; start vertices in `removed` are dropped."""
+    seen = {v for v in start if v not in removed}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
 
 
 # Walks ----------------------------------------------------------------------
@@ -364,6 +374,14 @@ def graph_to_json_dict(g: LabeledGraph) -> dict:
     return data
 
 
+def _json_int(value: object, what: str) -> int:
+    """value itself when it is a JSON integer. A bool, a float or a string
+    is not one, though int() would accept each of them."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(data: object) -> LabeledGraph:
     if not isinstance(data, dict):
         raise InputError("graph JSON must be an object")
@@ -373,26 +391,32 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
     except KeyError as missing:
         raise InputError(f"graph JSON missing key {missing}") from None
     if "vertices" in data:
-        vertices = [int(v) for v in data["vertices"]]
+        if not isinstance(data["vertices"], list):
+            raise InputError("graph JSON vertices must be a list")
+        vertices = [_json_int(v, "vertex") for v in data["vertices"]]
     else:
-        n = int(data.get("n", 0))
-        vertices = list(range(n))
+        vertices = list(range(_json_int(data.get("n", 0), "graph JSON n")))
     vertex_set = set(vertices)
     if not isinstance(raw_arcs, list):
         raise InputError("graph JSON arcs must be a list")
     arc_ids = data.get("arc_ids")
-    if arc_ids is not None and len(arc_ids) != len(raw_arcs):
-        raise InputError("arc_ids length differs from arcs length")
+    if arc_ids is not None:
+        if not isinstance(arc_ids, list):
+            raise InputError("graph JSON arc_ids must be a list")
+        if len(arc_ids) != len(raw_arcs):
+            raise InputError("arc_ids length differs from arcs length")
     arcs = []
     for i, entry in enumerate(raw_arcs):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InputError(f"arc entry {i} must be [tail, head, label]")
-        tail, head, label_text = int(entry[0]), int(entry[1]), entry[2]
+        tail = _json_int(entry[0], f"arc entry {i} tail")
+        head = _json_int(entry[1], f"arc entry {i} head")
+        label_text = entry[2]
         if tail not in vertex_set or head not in vertex_set:
             raise InputError(f"arc entry {i} references an unknown vertex")
         if not isinstance(label_text, str):
             raise InputError(f"arc entry {i} label must be a string")
-        arc_id = int(arc_ids[i]) if arc_ids is not None else i
+        arc_id = _json_int(arc_ids[i], f"arc id {i}") if arc_ids is not None else i
         arcs.append(Arc(arc_id, tail, head, parse_element(group, label_text)))
     return LabeledGraph(group, vertices, arcs)
 

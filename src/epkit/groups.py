@@ -261,7 +261,7 @@ def spec_from_json(data: object) -> GroupSpec:
     if not isinstance(data, dict) or len(data) != 1:
         raise InputError(f"bad group spec JSON: {data!r}")
     (kind, value), = data.items()
-    if kind in ("cyclic", "symmetric") and not isinstance(value, int):
+    if kind in ("cyclic", "symmetric") and type(value) is not int:
         raise InputError(f"group spec size must be an integer: {data!r}")
     if kind == "cyclic":
         spec: GroupSpec = Cyclic(value)

@@ -24,9 +24,11 @@ from .graph import (
     LabeledGraph,
     Walk,
     is_non_null_cycle,
+    reach,
     walk_value,
 )
 from .groups import GroupElement, identity, inverse, is_identity, multiply
+from .oracle import simple_paths
 
 
 @dataclass(frozen=True)
@@ -243,39 +245,26 @@ def verify_gfvs(g: LabeledGraph, vertices: Iterable[int]) -> GfvsCertificate:
 def non_null_path_exists(g: LabeledGraph, u: int, v: int) -> Optional[Walk]:
     """A simple u-v path with non-identity value, or None.
 
-    Exact search over simple paths, state = (vertex, accumulated value,
-    visited set). Exponential in the worst case; meant for small graphs.
-    u = v returns None: a path has distinct vertices and the single-vertex
-    path has identity value.
+    Exact search over simple paths, the first non-null one in search order.
+    Exponential in the worst case; meant for small graphs. u = v returns
+    None: a path has distinct vertices and the single-vertex path has
+    identity value.
     """
     if not g.has_vertex(u) or not g.has_vertex(v):
         raise InputError("endpoint not in graph")
     if u == v:
         return None
+    found: list[Walk] = []
 
-    def dfs(at: int, value: GroupElement, visited: frozenset[int], steps: tuple):
-        for arc in g.incident(at):
-            if arc.is_loop:
-                continue
-            nxt = arc.other(at)
-            if nxt in visited:
-                continue
-            if arc.tail == at:
-                direction, lab = FORWARD, arc.label
-            else:
-                direction, lab = REVERSE, inverse(arc.label)
-            new_value = multiply(value, lab)
-            new_steps = steps + ((arc.id, direction),)
-            if nxt == v:
-                if not is_identity(new_value):
-                    return Walk(new_steps)
-                continue
-            found = dfs(nxt, new_value, visited | {nxt}, new_steps)
-            if found is not None:
-                return found
-        return None
+    def take(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
+        walk = Walk(steps)
+        if is_identity(walk_value(g, walk)):
+            return False
+        found.append(walk)
+        return True
 
-    return dfs(u, identity(g.group), frozenset([u]), ())
+    simple_paths(g, u, {v}, (), take)
+    return found[0] if found else None
 
 
 def non_null_walk_exists(g: LabeledGraph, s: int, t: int) -> bool:
@@ -286,35 +275,18 @@ def non_null_walk_exists(g: LabeledGraph, s: int, t: int) -> bool:
     non-identity)."""
     if not g.has_vertex(s) or not g.has_vertex(t):
         raise InputError("endpoint not in graph")
+    comp = reach(g.simple_adjacency(), [s])
+    if t not in comp:
+        return False
     result = find_consistent_labeling(g)
     if result.clean:
         assert result.labeling is not None
-        # all s-t walks have value lam(s)^-1 * lam(t); reachability check
-        comp = _component_of(g, s)
-        if t not in comp:
-            return False
+        # all s-t walks have value lam(s)^-1 * lam(t)
         return result.labeling[s] != result.labeling[t]
     # walk values between fixed endpoints form a coset; with a non-null
     # cycle reachable from the path, both null and non-null values occur.
-    comp = _component_of(g, s)
-    if t not in comp:
-        return False
-    sub = g.induced_subgraph(comp)
-    sub_result = find_consistent_labeling(sub)
+    sub_result = find_consistent_labeling(g.induced_subgraph(comp))
     if sub_result.clean:
         assert sub_result.labeling is not None
         return sub_result.labeling[s] != sub_result.labeling[t]
     return True
-
-
-def _component_of(g: LabeledGraph, v: int) -> set[int]:
-    adj = g.simple_adjacency()
-    comp = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp

@@ -11,7 +11,7 @@ arcs is a length-2 cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .errors import GuardExceeded, InputError
 from .graph import (
@@ -41,14 +41,53 @@ def _check_size(g: LabeledGraph, guards: OracleGuards) -> None:
         )
 
 
+def simple_paths(
+    g: LabeledGraph,
+    start: int,
+    ends: Container[int],
+    blocked: Iterable[int],
+    emit: Callable[[int, tuple[tuple[int, int], ...]], bool],
+) -> bool:
+    """Depth-first search over the simple paths that leave `start`.
+
+    Arcs are tried in `g.incident` order and loops are skipped. A step onto
+    a vertex in `ends` calls emit(end, steps) and goes no further; a step
+    onto any other vertex that is neither on the path nor in `blocked`
+    extends the path. The search stops, and returns True, as soon as emit
+    returns True. It takes a callback rather than being a generator, which
+    would hand every path up through every frame of the recursion.
+    """
+    closed = set(blocked)
+    closed.add(start)
+
+    def extend(v: int, steps: tuple[tuple[int, int], ...]) -> bool:
+        for arc in g.incident(v):
+            if arc.is_loop:
+                continue
+            forward = arc.tail == v
+            w = arc.head if forward else arc.tail
+            if w in ends:
+                if emit(w, steps + ((arc.id, FORWARD if forward else REVERSE),)):
+                    return True
+            elif w not in closed:
+                closed.add(w)
+                if extend(w, steps + ((arc.id, FORWARD if forward else REVERSE),)):
+                    return True
+                closed.discard(w)
+        return False
+
+    return extend(start, ())
+
+
 def enumerate_cycles(
     g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS
 ) -> list[Walk]:
     """All simple cycles, one representative each, deterministic order.
 
-    DFS from each start vertex s, only visiting vertices > s in between, so
-    every cycle is found exactly at its minimum vertex. Canonical forms
-    dedupe the two traversal directions and parallel-arc choices.
+    Paths from each start vertex s back to s, only visiting vertices > s in
+    between, so every cycle is found exactly at its minimum vertex.
+    Canonical forms dedupe the two traversal directions and parallel-arc
+    choices.
     """
     _check_size(g, guards)
     seen: set[tuple] = set()
@@ -63,26 +102,20 @@ def enumerate_cycles(
         if len(out) > guards.max_cycles:
             raise GuardExceeded(f"more than {guards.max_cycles} cycles")
 
+    def close(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
+        # a walk out and back along one arc is not a cycle
+        if not (len(steps) == 2 and steps[0][0] == steps[1][0]):
+            record(Walk(steps))
+        return False
+
     for arc in g.arcs:
         if arc.is_loop:
             record(Walk(((arc.id, FORWARD),)))
 
+    below: list[int] = []
     for s in g.vertices:
-        # path state: current vertex, visited set, steps taken
-        def dfs(v: int, visited: frozenset[int], steps: tuple) -> None:
-            for arc in g.incident(v):
-                if arc.is_loop:
-                    continue
-                w = arc.other(v)
-                direction = FORWARD if arc.tail == v else REVERSE
-                if w == s and steps:
-                    if len(steps) == 1 and steps[0][0] == arc.id:
-                        continue  # same arc back and forth
-                    record(Walk(steps + ((arc.id, direction),)))
-                elif w > s and w not in visited:
-                    dfs(w, visited | {w}, steps + ((arc.id, direction),))
-
-        dfs(s, frozenset([s]), ())
+        simple_paths(g, s, {s}, below, close)
+        below.append(s)
 
     out.sort(key=lambda wlk: canonical_cycle(g, wlk))
     return out
@@ -102,41 +135,44 @@ def _cycle_vertex_sets(g: LabeledGraph, cycles: list[Walk]) -> list[frozenset[in
     return [frozenset(walk_vertices(g, w)[:-1]) for w in cycles]
 
 
+def min_hitting_set(
+    vertex_sets: list[frozenset[int]], cap: int
+) -> Optional[tuple[int, ...]]:
+    """An exact minimum set meeting every given vertex set, None beyond cap.
+
+    Iterative deepening; branches on the vertices of the first unhit set,
+    ascending, so the answer is deterministic.
+    """
+
+    def hit(depth: int, chosen: frozenset[int]) -> Optional[frozenset[int]]:
+        unhit = next((vs for vs in vertex_sets if not (vs & chosen)), None)
+        if unhit is None:
+            return chosen
+        if depth == 0:
+            return None
+        for v in sorted(unhit):
+            found = hit(depth - 1, chosen | {v})
+            if found is not None:
+                return found
+        return None
+
+    for depth in range(cap + 1):
+        found = hit(depth, frozenset())
+        if found is not None:
+            return tuple(sorted(found))
+    return None
+
+
 def min_gfvs(
     g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS
 ) -> list[int]:
     """A minimum set of vertices meeting every non-null cycle.
 
-    Iterative deepening; branches on the vertices of the first unhit cycle.
-    Deterministic: cycles in canonical order, branch vertices ascending.
+    Deterministic: the search takes the cycles in canonical order. The
+    whole vertex set meets every cycle, so a cap of n always finds one.
     """
     cycles = enumerate_non_null_cycles(g, guards)
-    sets = _cycle_vertex_sets(g, cycles)
-
-    def first_unhit(chosen: frozenset[int]) -> Optional[frozenset[int]]:
-        for cs in sets:
-            if not (cs & chosen):
-                return cs
-        return None
-
-    def search(chosen: frozenset[int], budget: int) -> Optional[frozenset[int]]:
-        unhit = first_unhit(chosen)
-        if unhit is None:
-            return chosen
-        if budget == 0:
-            return None
-        for v in sorted(unhit):
-            found = search(chosen | {v}, budget - 1)
-            if found is not None:
-                return found
-        return None
-
-    size = 0
-    while True:
-        found = search(frozenset(), size)
-        if found is not None:
-            return sorted(found)
-        size += 1
+    return list(min_hitting_set(_cycle_vertex_sets(g, cycles), g.n))
 
 
 def max_packing(

@@ -32,6 +32,7 @@ from .graph import (
     Separation,
     Walk,
     blocks_and_cut_vertices,
+    reach,
     validate_separation,
     walk_value,
     walk_vertices,
@@ -43,7 +44,7 @@ from .labeling import (
     is_clean,
     untangle,
 )
-from .oracle import DEFAULT_GUARDS, OracleGuards
+from .oracle import DEFAULT_GUARDS, OracleGuards, min_hitting_set, simple_paths
 from .treedec import PackingCertificate, verify_packing
 
 EXPANSION_ORDER_CAP = 6
@@ -130,14 +131,7 @@ def verify_expansion(g: LabeledGraph, eta: CliqueExpansion, ell: int) -> bool:
                 return False
             adj[arc.tail].append(arc.head)
             adj[arc.head].append(arc.tail)
-        reach = {min(nodes)}
-        stack = [min(nodes)]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        if reach != set(nodes):
+        if reach(adj, [min(nodes)]) != nodes:
             return False
         if eta.centers[mv] not in nodes:
             return False
@@ -365,28 +359,20 @@ def enumerate_non_null_s_paths(
             f"S-path search limited to {guards.max_vertices} vertices, got {g.n}"
         )
     out: list[Walk] = []
-
-    def record(steps: tuple[tuple[int, int], ...]) -> None:
-        walk = Walk(steps)
-        if not is_identity(walk_value(g, walk)):
-            out.append(walk)
-            if len(out) > guards.max_cycles:
-                raise GuardExceeded(f"more than {guards.max_cycles} non-null S-paths")
-
-    def dfs(start: int, v: int, visited: frozenset[int], steps: tuple) -> None:
-        for arc in g.incident(v):
-            if arc.is_loop:
-                continue
-            w = arc.other(v)
-            direction = FORWARD if arc.tail == v else REVERSE
-            if w in s_set:
-                if w > start:
-                    record(steps + ((arc.id, direction),))
-            elif w not in visited:
-                dfs(start, w, visited | {w}, steps + ((arc.id, direction),))
-
     for start in sorted(s_set):
-        dfs(start, start, frozenset([start]), ())
+
+        def record(end: int, steps: tuple[tuple[int, int], ...]) -> bool:
+            if end > start:
+                walk = Walk(steps)
+                if not is_identity(walk_value(g, walk)):
+                    out.append(walk)
+                    if len(out) > guards.max_cycles:
+                        raise GuardExceeded(
+                            f"more than {guards.max_cycles} non-null S-paths"
+                        )
+            return False
+
+        simple_paths(g, start, s_set, (), record)
     return out
 
 
@@ -413,28 +399,6 @@ def _max_disjoint_indices(vertex_sets: list[frozenset[int]], stop_at: int) -> li
     return best
 
 
-def _min_hitting_set(vertex_sets: list[frozenset[int]], cap: int) -> Optional[tuple[int, ...]]:
-    """Exact minimum hitting set by iterative deepening, None beyond cap."""
-
-    def hit(depth: int, chosen: frozenset[int]) -> Optional[frozenset[int]]:
-        unhit = next((vs for vs in vertex_sets if not (vs & chosen)), None)
-        if unhit is None:
-            return chosen
-        if depth == 0:
-            return None
-        for v in sorted(unhit):
-            found = hit(depth - 1, chosen | {v})
-            if found is not None:
-                return found
-        return None
-
-    for depth in range(cap + 1):
-        found = hit(depth, frozenset())
-        if found is not None:
-            return tuple(sorted(found))
-    return None
-
-
 def non_null_s_paths_or_hitting_set(
     g: LabeledGraph,
     s: Iterable[int],
@@ -455,7 +419,7 @@ def non_null_s_paths_or_hitting_set(
         return SPathDualityResult(
             paths=tuple(paths[i] for i in chosen[:k]), hitting_set=None
         )
-    hitting = _min_hitting_set(vertex_sets, 2 * k - 2)
+    hitting = min_hitting_set(vertex_sets, 2 * k - 2)
     if hitting is None:
         raise InternalInvariantError(
             "no hitting set within the guaranteed 2k-2 bound"
@@ -534,13 +498,6 @@ def _close_path_through_trees(
         + _tree_path_steps(g, eta.tree_edges[a], v_a, seq[0])
     )
     return Walk(path.steps + back)
-
-
-def _component_containing(g: LabeledGraph, v: int) -> frozenset[int]:
-    for comp in g.connected_components():
-        if v in comp:
-            return comp
-    raise InputError(f"no vertex {v}")
 
 
 def clique_branch_separation(
@@ -644,7 +601,7 @@ def clique_branch_separation(
     non_clean: list[tuple[int, frozenset[int]]] = []
     for z in pendant_roots:
         hang = deleted.delete_vertices(block - {z})
-        comp = _component_containing(hang, z)
+        comp = reach(hang.simple_adjacency(), [z])
         if not is_clean(deleted, comp):
             non_clean.append((z, comp))
     if len(non_clean) >= k:
@@ -667,7 +624,7 @@ def clique_branch_separation(
     if not free:
         raise InternalInvariantError("no supernode survives the separator")
     rest = g.delete_vertices(x_prime)
-    component = _component_containing(rest, eta.centers[free[0]])
+    component = reach(rest.simple_adjacency(), [eta.centers[free[0]]])
     if not is_clean(g, component):
         raise InternalInvariantError("component behind the separator is not clean")
     a = component | x_prime

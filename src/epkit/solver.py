@@ -41,7 +41,6 @@ from .treedec import (
     TreeDecomposition,
     packing_or_cover_bounded_tw,
     tree_decomposition,
-    treewidth_exact,
     validate_tree_decomposition,
     verify_packing,
 )
@@ -52,15 +51,12 @@ class DriverConfig:
     tw_threshold: int = 4
     thresholds_mode: str = "small"
     oracle_fallback: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.tw_threshold < 1:
             raise InputError("tw_threshold must be at least 1")
         if self.thresholds_mode not in ("paper", "small"):
             raise InputError(f"unknown thresholds mode {self.thresholds_mode!r}")
-        if not -(2**63) <= self.seed < 2**64:
-            raise InputError("seed must fit in 64 bits")
 
 
 # Faithful threshold arithmetic. The wall-extraction step hides a constant
@@ -240,16 +236,16 @@ def _solve(
             if cfg.thresholds_mode == "paper"
             else cfg.tw_threshold
         )
-        width = _instance_width(stripped, td, trail)
+        decomposition = _instance_decomposition(stripped, td, trail)
         trail.append(
             {
                 "step": "treewidth",
-                "width": width,
+                "width": None if decomposition is None else decomposition.width,
                 "threshold": _report_int(threshold),
             }
         )
-        if width is not None and width <= threshold:
-            outcome = _bounded_tw_branch(stripped, k, td, width, trail)
+        if decomposition is not None and decomposition.width <= threshold:
+            outcome = _bounded_tw_branch(stripped, k, decomposition, trail)
             break
 
         result = _expansion_branch(stripped, k, cfg, expansion, guards, trail)
@@ -280,30 +276,25 @@ def _solve(
     return outcome, tuple(trail)
 
 
-def _instance_width(
+def _instance_decomposition(
     g: LabeledGraph, td: Optional[TreeDecomposition], trail: list[dict]
-) -> Optional[int]:
-    """Exact treewidth, the supplied decomposition's width, or None when the
-    graph is too large to measure exactly."""
+) -> Optional[TreeDecomposition]:
+    """The supplied decomposition once validated, else an exact one, or None
+    when the graph is too large to decompose exactly."""
     if td is not None:
         validate_tree_decomposition(g, td)
-        return td.width
+        return td
     if g.n > EXACT_VERTEX_CAP:
         trail.append({"step": "treewidth-skipped", "vertices": g.n})
         return None
-    return treewidth_exact(g)
+    return tree_decomposition(g, mode="exact")
 
 
 def _bounded_tw_branch(
-    g: LabeledGraph,
-    k: int,
-    td: Optional[TreeDecomposition],
-    width: int,
-    trail: list[dict],
+    g: LabeledGraph, k: int, td: TreeDecomposition, trail: list[dict]
 ) -> PackingCertificate | GfvsCertificate:
-    if td is None:
-        td = tree_decomposition(g, mode="exact")
     result = packing_or_cover_bounded_tw(g, k, td)
+    width = td.width
     if isinstance(result, PackingCertificate):
         trail.append({"step": "bounded-treewidth", "result": "packing", "width": width})
     else:

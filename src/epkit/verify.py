@@ -18,7 +18,10 @@ def verify_certificate(g, cert: Certificate) -> tuple[bool, str]:
         if not isinstance(entry, dict) or not isinstance(entry.get("step"), str):
             return False, f"trail entry {i} does not name a step"
         if entry["step"] == "bounded-treewidth" and entry.get("result") == "cover":
-            if entry["cover_size"] > entry["bound"]:
+            size, bound = entry.get("cover_size"), entry.get("bound")
+            if type(size) is not int or type(bound) is not int:
+                return False, f"trail entry {i} needs integer cover_size and bound"
+            if size > bound:
                 return False, f"trail entry {i} reports a cover above its own bound"
     # a certificate naming arcs or vertices the graph lacks is merely
     # invalid for this graph, not a malformed request

@@ -44,6 +44,9 @@ class TestWalkJson:
             {"steps": [[0]]},
             {"steps": [[0, 2]]},
             {"steps": [["a", 1]]},
+            {"steps": [[True, 1]]},
+            {"steps": [[0, True]]},
+            {"steps": [[0, 1.0]]},
         ],
     )
     def test_malformed(self, doc):
@@ -76,6 +79,7 @@ class TestOutcomeJson:
             {"kind": "packing", "integrality": "integral", "cycles": 7},
             {"kind": "gfvs"},
             {"kind": "gfvs", "vertices": ["x"]},
+            {"kind": "gfvs", "vertices": [True]},
         ],
     )
     def test_malformed(self, doc):
@@ -127,6 +131,7 @@ class TestCertificate:
                 "outcome": {"kind": "gfvs", "vertices": []},
                 "trail": [{"no_step": True}],
             },
+            {"k": True, "outcome": {"kind": "gfvs", "vertices": []}, "trail": []},
         ],
     )
     def test_malformed(self, doc):

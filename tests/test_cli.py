@@ -158,6 +158,92 @@ class TestSolveVerify:
         assert tw["threshold"]["bits"] > 63
 
 
+    def test_seed_option_is_gone(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", gpath, "-k", "1", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+GOOD_GRAPH = {"group": {"cyclic": 2}, "n": 2, "arcs": [[0, 1, "1"]]}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"arcs": [[0, "a", "1"]]},
+            {"arcs": [[0, 1.5, "1"]]},
+            {"arcs": [[0, True, "1"]]},
+            {"arcs": [[0.0, 1, "1"]]},
+            {"n": "x"},
+            {"n": True},
+            {"n": 2.0},
+            {"vertices": [0, True]},
+            {"vertices": [0, 1.0]},
+            {"vertices": "01"},
+            {"arc_ids": "0"},
+            {"arc_ids": [True]},
+            {"arc_ids": [0.0]},
+            {"group": {"cyclic": True}, "arcs": []},
+            {"group": {"symmetric": True}, "arcs": []},
+            {"group": {"product": [{"cyclic": 2}, {"cyclic": True}]}, "arcs": []},
+        ],
+        ids=[
+            "arc-string-vertex", "arc-float-vertex", "arc-bool-vertex",
+            "arc-float-tail", "n-string", "n-bool", "n-float", "vertex-bool",
+            "vertex-float", "vertices-string", "arc-ids-string", "arc-id-bool",
+            "arc-id-float", "cyclic-bool", "symmetric-bool", "product-part-bool",
+        ],
+    )
+    def test_graph_is_input_error(self, tmp_path, capsys, change):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({**GOOD_GRAPH, **change}))
+        code, _, err = run(capsys, "solve", str(gpath), "-k", "1")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "unknown vertex" not in err
+
+    def test_good_graph_solves(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(GOOD_GRAPH))
+        assert run(capsys, "solve", str(gpath), "-k", "1")[0] == 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"cover_size": "a"}, {"cover_size": None}, {"bound": None}, {"bound": 6.0}],
+        ids=["size-string", "size-missing", "bound-missing", "bound-float"],
+    )
+    def test_bad_trail_entry_is_invalid(self, tmp_path, capsys, change):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "2"], capsys)
+        cpath = tmp_path / "cert.json"
+        assert run(capsys, "solve", gpath, "-k", "3", "--out", str(cpath))[0] == 0
+        doc = json.loads(cpath.read_text())
+        entry = next(t for t in doc["trail"] if t["step"] == "bounded-treewidth")
+        for key, value in change.items():
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+        cpath.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", gpath, str(cpath))
+        assert code == 1
+        assert json.loads(out)["valid"] is False
+        assert err == ""
+
+    def test_bool_k_is_input_error(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "2"], capsys)
+        cpath = tmp_path / "cert.json"
+        run(capsys, "solve", gpath, "-k", "1", "--out", str(cpath))
+        doc = json.loads(cpath.read_text())
+        doc["k"] = True
+        cpath.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", gpath, str(cpath))
+        assert code == 2
+        assert "k must be an integer" in err
+
+
 class TestOracle:
     def test_fields(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "g.json", ["gen", "escher_wall", "--height", "2"], capsys)

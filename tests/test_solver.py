@@ -216,7 +216,6 @@ class TestDriverConfig:
         [
             {"tw_threshold": 0},
             {"thresholds_mode": "tiny"},
-            {"seed": 2**64},
         ],
     )
     def test_validation(self, kwargs):

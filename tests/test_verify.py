@@ -1,5 +1,7 @@
 """Certificate re-verification rejects every tampered outcome."""
 
+import pytest
+
 from epkit.certificates import Certificate
 from epkit.generators import odd_cycles
 from epkit.graph import Walk
@@ -79,3 +81,21 @@ class TestReject:
         ok, reason = verify_certificate(g, Certificate(3, cert.outcome, lying))
         assert not ok
         assert "bound" in reason
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"cover_size": "a", "bound": 2},
+            {"cover_size": 1},
+            {"bound": 2},
+            {"cover_size": True, "bound": 2},
+            {"cover_size": 1, "bound": [2]},
+        ],
+        ids=["size-string", "no-bound", "no-size", "size-bool", "bound-list"],
+    )
+    def test_malformed_cover_entry_is_invalid(self, entry):
+        g, cert = solved(3)
+        bad = {"step": "bounded-treewidth", "result": "cover", **entry}
+        ok, reason = verify_certificate(g, Certificate(3, cert.outcome, cert.trail + (bad,)))
+        assert not ok
+        assert "integer cover_size and bound" in reason
