@@ -1,4 +1,5 @@
-"""Separators, multiway cuts, and the irrelevant-vertex machinery.
+"""Separators, well-linked sets, treewidth reduction, and the irrelevant-vertex
+machinery.
 
 Everything in this module works on the undirected simple view of a graph;
 labels play no role. Vertex cuts are computed by unit-capacity flow on the
@@ -261,61 +262,6 @@ def enumerate_important_separators(
     return ImportantSeparatorEnumeration(
         _important_separators_adj(adj, x_set, y_set, k), inseparable=False
     )
-
-
-# Multiway cuts ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiwayCutInstance:
-    graph: LabeledGraph
-    terminals: frozenset[int]
-    partition: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        for t in self.terminals:
-            if not self.graph.has_vertex(t):
-                raise InputError(f"terminal {t} not in graph")
-        if len(self.partition) < 2:
-            raise InputError("partition needs at least two parts")
-        seen: set[int] = set()
-        for part in self.partition:
-            if not part:
-                raise InputError("empty partition part")
-            if part & seen:
-                raise InputError("partition parts overlap")
-            seen |= part
-        if seen != set(self.terminals):
-            raise InputError("partition does not cover the terminal set")
-
-
-def is_multiway_cut(inst: MultiwayCutInstance, s: Iterable[int]) -> bool:
-    s_set = frozenset(s)
-    if s_set & inst.terminals:
-        raise InputError("cut overlaps the terminal set")
-    for v in s_set:
-        if not inst.graph.has_vertex(v):
-            raise InputError(f"no vertex {v}")
-    adj = inst.graph.simple_adjacency()
-    part_of = {t: i for i, part in enumerate(inst.partition) for t in part}
-    seen: set[int] = set()
-    for start in sorted(inst.terminals):
-        if start in seen:
-            continue
-        comp = reach(adj, [start], s_set)
-        seen |= comp & inst.terminals
-        touched = {part_of[t] for t in comp & inst.terminals}
-        if len(touched) > 1:
-            return False
-    return True
-
-
-def is_minimal_multiway_cut(inst: MultiwayCutInstance, s: Iterable[int]) -> bool:
-    """A cut with no proper subset that also cuts. Cutting is monotone in the
-    vertex set, so dropping single vertices is a complete minimality check."""
-    s_set = frozenset(s)
-    if not is_multiway_cut(inst, s_set):
-        return False
-    return all(not is_multiway_cut(inst, s_set - {v}) for v in s_set)
 
 
 # Well-linked sets ---------------------------------------------------------------

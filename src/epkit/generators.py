@@ -8,7 +8,6 @@ on the layout.
 
 import itertools
 import random
-from typing import Optional
 
 from .errors import InputError
 from .graph import LabeledGraph, build_graph

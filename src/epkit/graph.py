@@ -13,6 +13,7 @@ graph.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -213,14 +214,6 @@ def walk_value(g: LabeledGraph, walk: Walk) -> GroupElement:
     return value
 
 
-def concat_walks(g: LabeledGraph, first: Walk, second: Walk) -> Walk:
-    v1 = walk_vertices(g, first)
-    v2 = walk_vertices(g, second)
-    if v1[-1] != v2[0]:
-        raise InputError("walks do not share an endpoint")
-    return Walk(first.steps + second.steps)
-
-
 def is_cycle(g: LabeledGraph, walk: Walk) -> bool:
     """True for a simple cycle: closed, vertices distinct apart from the
     closure, length >= 1, and a length-2 cycle uses two distinct arcs."""
@@ -245,12 +238,6 @@ def is_non_null_cycle(g: LabeledGraph, walk: Walk) -> bool:
     return is_cycle(g, walk) and not is_identity(walk_value(g, walk))
 
 
-def _step_from(g: LabeledGraph, v: int, arc: Arc) -> tuple[int, int]:
-    if arc.tail == v:
-        return (arc.id, FORWARD)
-    return (arc.id, REVERSE)
-
-
 def canonical_cycle(g: LabeledGraph, walk: Walk) -> tuple:
     """Canonical form of a simple cycle, invariant under rotation and
     reversal: the lexicographically least (vertex, arc id) pair sequence."""
@@ -269,13 +256,6 @@ def canonical_cycle(g: LabeledGraph, walk: Walk) -> tuple:
             tuple((rev_seq[(r + i) % L], rev_arcs[(r + i) % L]) for i in range(L))
         )
     return min(candidates)
-
-
-def cycle_from_canonical(g: LabeledGraph, canon: tuple) -> Walk:
-    steps = []
-    for v, arc_id in canon:
-        steps.append(_step_from(g, v, g.arc(arc_id)))
-    return Walk(tuple(steps))
 
 
 # Separations ----------------------------------------------------------------
@@ -382,6 +362,20 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
+def _json_int_list(value: object, what: str) -> list[int]:
+    """value itself when it is a list of JSON integers."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return [_json_int(v, f"{what} entry") for v in value]
+
+
+def _json_key(key: object, what: str) -> int:
+    """An object key (always a string in JSON) read as a decimal integer."""
+    if not isinstance(key, str) or re.fullmatch(r"-?[0-9]+", key) is None:
+        raise InputError(f"{what} {key!r} is not a decimal integer string")
+    return int(key)
+
+
 def graph_from_json_dict(data: object) -> LabeledGraph:
     if not isinstance(data, dict):
         raise InputError("graph JSON must be an object")
@@ -391,9 +385,7 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
     except KeyError as missing:
         raise InputError(f"graph JSON missing key {missing}") from None
     if "vertices" in data:
-        if not isinstance(data["vertices"], list):
-            raise InputError("graph JSON vertices must be a list")
-        vertices = [_json_int(v, "vertex") for v in data["vertices"]]
+        vertices = _json_int_list(data["vertices"], "graph JSON vertices")
     else:
         vertices = list(range(_json_int(data.get("n", 0), "graph JSON n")))
     vertex_set = set(vertices)
@@ -401,8 +393,7 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
         raise InputError("graph JSON arcs must be a list")
     arc_ids = data.get("arc_ids")
     if arc_ids is not None:
-        if not isinstance(arc_ids, list):
-            raise InputError("graph JSON arc_ids must be a list")
+        arc_ids = _json_int_list(arc_ids, "graph JSON arc_ids")
         if len(arc_ids) != len(raw_arcs):
             raise InputError("arc_ids length differs from arcs length")
     arcs = []
@@ -416,7 +407,7 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
             raise InputError(f"arc entry {i} references an unknown vertex")
         if not isinstance(label_text, str):
             raise InputError(f"arc entry {i} label must be a string")
-        arc_id = _json_int(arc_ids[i], f"arc id {i}") if arc_ids is not None else i
+        arc_id = arc_ids[i] if arc_ids is not None else i
         arcs.append(Arc(arc_id, tail, head, parse_element(group, label_text)))
     return LabeledGraph(group, vertices, arcs)
 

@@ -24,11 +24,9 @@ from .graph import (
     LabeledGraph,
     Walk,
     is_non_null_cycle,
-    reach,
     walk_value,
 )
 from .groups import GroupElement, identity, inverse, is_identity, multiply
-from .oracle import simple_paths
 
 
 @dataclass(frozen=True)
@@ -241,52 +239,3 @@ def verify_gfvs(g: LabeledGraph, vertices: Iterable[int]) -> GfvsCertificate:
     verdict = is_clean(g.delete_vertices(drop))
     return GfvsCertificate(tuple(sorted(drop)), verdict)
 
-
-def non_null_path_exists(g: LabeledGraph, u: int, v: int) -> Optional[Walk]:
-    """A simple u-v path with non-identity value, or None.
-
-    Exact search over simple paths, the first non-null one in search order.
-    Exponential in the worst case; meant for small graphs. u = v returns
-    None: a path has distinct vertices and the single-vertex path has
-    identity value.
-    """
-    if not g.has_vertex(u) or not g.has_vertex(v):
-        raise InputError("endpoint not in graph")
-    if u == v:
-        return None
-    found: list[Walk] = []
-
-    def take(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
-        walk = Walk(steps)
-        if is_identity(walk_value(g, walk)):
-            return False
-        found.append(walk)
-        return True
-
-    simple_paths(g, u, {v}, (), take)
-    return found[0] if found else None
-
-
-def non_null_walk_exists(g: LabeledGraph, s: int, t: int) -> bool:
-    """Whether some s-t walk has non-identity value. For clean graphs this
-    reduces to comparing the consistent labeling at the two endpoints; in a
-    component with a non-null cycle, every connected pair admits both a null
-    and a non-null walk (detour around the cycle, conjugation keeps it
-    non-identity)."""
-    if not g.has_vertex(s) or not g.has_vertex(t):
-        raise InputError("endpoint not in graph")
-    comp = reach(g.simple_adjacency(), [s])
-    if t not in comp:
-        return False
-    result = find_consistent_labeling(g)
-    if result.clean:
-        assert result.labeling is not None
-        # all s-t walks have value lam(s)^-1 * lam(t)
-        return result.labeling[s] != result.labeling[t]
-    # walk values between fixed endpoints form a coset; with a non-null
-    # cycle reachable from the path, both null and non-null values occur.
-    sub_result = find_consistent_labeling(g.induced_subgraph(comp))
-    if sub_result.clean:
-        assert sub_result.labeling is not None
-        return sub_result.labeling[s] != sub_result.labeling[t]
-    return True

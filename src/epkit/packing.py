@@ -31,6 +31,9 @@ from .graph import (
     LabeledGraph,
     Separation,
     Walk,
+    _json_int,
+    _json_int_list,
+    _json_key,
     blocks_and_cut_vertices,
     reach,
     validate_separation,
@@ -165,23 +168,25 @@ def expansion_from_json_dict(doc: dict) -> CliqueExpansion:
     for key in ("supernodes", "tree_edges", "edge_map", "centers"):
         if key not in doc or not isinstance(doc[key], dict):
             raise InputError(f"expansion document needs object field '{key}'")
-    try:
-        supernodes = {
-            int(mv): frozenset(int(v) for v in vs)
-            for mv, vs in doc["supernodes"].items()
-        }
-        tree_edges = {
-            int(mv): tuple(int(a) for a in arcs)
-            for mv, arcs in doc["tree_edges"].items()
-        }
-        edge_map: dict[tuple[int, int], int] = {}
-        for key, arc_id in doc["edge_map"].items():
-            u_text, v_text = key.split(",")
-            u, v = int(u_text), int(v_text)
-            edge_map[(min(u, v), max(u, v))] = int(arc_id)
-        centers = {int(mv): int(c) for mv, c in doc["centers"].items()}
-    except (TypeError, ValueError):
-        raise InputError("malformed expansion document") from None
+    supernodes = {
+        _json_key(mv, "supernodes key"): frozenset(_json_int_list(vs, f"supernode {mv}"))
+        for mv, vs in doc["supernodes"].items()
+    }
+    tree_edges = {
+        _json_key(mv, "tree_edges key"): tuple(_json_int_list(a, f"tree_edges {mv}"))
+        for mv, a in doc["tree_edges"].items()
+    }
+    edge_map: dict[tuple[int, int], int] = {}
+    for key, arc_id in doc["edge_map"].items():
+        ends = key.split(",") if isinstance(key, str) else ()
+        if len(ends) != 2:
+            raise InputError(f"edge_map key {key!r} is not 'u,v'")
+        u, v = (_json_key(end, "edge_map key") for end in ends)
+        edge_map[(min(u, v), max(u, v))] = _json_int(arc_id, f"edge_map {key}")
+    centers = {
+        _json_key(mv, "centers key"): _json_int(c, f"center {mv}")
+        for mv, c in doc["centers"].items()
+    }
     return CliqueExpansion(supernodes, tree_edges, edge_map, centers)
 
 
@@ -325,21 +330,6 @@ class SPathDualityResult:
     @property
     def side(self) -> str:
         return "paths" if self.paths is not None else "hitting_set"
-
-
-def is_non_null_s_path(g: LabeledGraph, s: Iterable[int], walk: Walk) -> bool:
-    """Simple path, distinct endpoints in s, interior outside s, value != 1."""
-    s_set = frozenset(s)
-    if not walk.steps:
-        return False
-    seq = walk_vertices(g, walk)
-    if len(set(seq)) != len(seq):
-        return False
-    if seq[0] not in s_set or seq[-1] not in s_set:
-        return False
-    if any(v in s_set for v in seq[1:-1]):
-        return False
-    return not is_identity(walk_value(g, walk))
 
 
 def enumerate_non_null_s_paths(

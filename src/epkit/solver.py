@@ -1,7 +1,7 @@
 """The packing-or-cover driver.
 
 Control flow per level: strip arcs that lie on no non-null cycle; if the
-(exact) treewidth is within the threshold, run the decomposition branch;
+treewidth is within the threshold, run the decomposition branch;
 otherwise look for a clique expansion and run the expansion branch, which
 yields a packing, an irrelevant vertex to delete, or a separation to
 recurse behind. Anything past that is the wall case, which this package
@@ -36,7 +36,6 @@ from .packing import (
     verify_expansion,
 )
 from .treedec import (
-    EXACT_VERTEX_CAP,
     PackingCertificate,
     TreeDecomposition,
     packing_or_cover_bounded_tw,
@@ -236,15 +235,19 @@ def _solve(
             if cfg.thresholds_mode == "paper"
             else cfg.tw_threshold
         )
-        decomposition = _instance_decomposition(stripped, td, trail)
+        if td is not None:
+            validate_tree_decomposition(stripped, td)
+            decomposition = td
+        else:
+            decomposition = tree_decomposition(stripped, "heuristic")
         trail.append(
             {
                 "step": "treewidth",
-                "width": None if decomposition is None else decomposition.width,
+                "width": decomposition.width,
                 "threshold": _report_int(threshold),
             }
         )
-        if decomposition is not None and decomposition.width <= threshold:
+        if decomposition.width <= threshold:
             outcome = _bounded_tw_branch(stripped, k, decomposition, trail)
             break
 
@@ -274,20 +277,6 @@ def _solve(
             trail.append({"step": "cover-repair", "added_back": sorted(added)})
         outcome = GfvsCertificate(tuple(sorted(cover)), True)
     return outcome, tuple(trail)
-
-
-def _instance_decomposition(
-    g: LabeledGraph, td: Optional[TreeDecomposition], trail: list[dict]
-) -> Optional[TreeDecomposition]:
-    """The supplied decomposition once validated, else an exact one, or None
-    when the graph is too large to decompose exactly."""
-    if td is not None:
-        validate_tree_decomposition(g, td)
-        return td
-    if g.n > EXACT_VERTEX_CAP:
-        trail.append({"step": "treewidth-skipped", "vertices": g.n})
-        return None
-    return tree_decomposition(g, mode="exact")
 
 
 def _bounded_tw_branch(

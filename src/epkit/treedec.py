@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardExceeded, InputError, InternalInvariantError
-from .graph import LabeledGraph, Walk, is_non_null_cycle, walk_vertices
+from .graph import (
+    LabeledGraph,
+    Walk,
+    _json_int,
+    _json_int_list,
+    _json_key,
+    is_non_null_cycle,
+    walk_vertices,
+)
 from .labeling import GfvsCertificate, find_non_null_cycle, is_clean, verify_gfvs
 
 EXACT_VERTEX_CAP = 20
@@ -125,44 +133,25 @@ def validate_tree_decomposition(g: LabeledGraph, td: TreeDecomposition) -> None:
             raise InputError(f"bags containing vertex {v} are not connected")
 
 
-def td_to_json_dict(td: TreeDecomposition) -> dict:
-    return {
-        "nodes": list(td.nodes),
-        "parent": {str(n): td.parent[n] for n in td.nodes},
-        "bags": {str(n): sorted(td.bags[n]) for n in td.nodes},
-    }
-
-
 def td_from_json_dict(doc: dict) -> TreeDecomposition:
     if not isinstance(doc, dict):
         raise InputError("decomposition document must be an object")
     for key in ("nodes", "parent", "bags"):
         if key not in doc:
             raise InputError(f"decomposition document missing '{key}'")
-    nodes = doc["nodes"]
-    if not isinstance(nodes, list) or not all(isinstance(n, int) for n in nodes):
-        raise InputError("'nodes' must be a list of integers")
+    nodes = _json_int_list(doc["nodes"], "'nodes'")
     for key in ("parent", "bags"):
         if not isinstance(doc[key], dict):
             raise InputError(f"'{key}' must be an object keyed by node id")
-    parent: dict[int, Optional[int]] = {}
-    for key, value in doc["parent"].items():
-        if value is not None and not isinstance(value, int):
-            raise InputError("parent entries must be integers or null")
-        parent[_node_key(key)] = value
-    bags: dict[int, frozenset[int]] = {}
-    for key, value in doc["bags"].items():
-        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-            raise InputError("bags must be lists of integers")
-        bags[_node_key(key)] = frozenset(value)
+    parent: dict[int, Optional[int]] = {
+        _json_key(key, "node key"): None if p is None else _json_int(p, "parent entry")
+        for key, p in doc["parent"].items()
+    }
+    bags: dict[int, frozenset[int]] = {
+        _json_key(key, "node key"): frozenset(_json_int_list(bag, f"bag {key}"))
+        for key, bag in doc["bags"].items()
+    }
     return TreeDecomposition(tuple(nodes), parent, bags)
-
-
-def _node_key(key: object) -> int:
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise InputError(f"node key {key!r} is not an integer") from None
 
 
 # Elimination machinery ---------------------------------------------------------

@@ -126,10 +126,43 @@ class TestSolveVerify:
         assert code == 2
 
     def test_guard_exit_code(self, tmp_path, capsys):
-        gpath = write_graph(tmp_path, "big.json", ["gen", "odd_cycles", "--count", "7"], capsys)
-        code, _, err = run(capsys, "solve", gpath, "-k", "1")
+        # 21 vertices at min-fill width 6, above a threshold of 2: the oracle
+        # fallback trips its vertex guard
+        gpath = write_graph(tmp_path, "wall.json", ["gen", "escher_wall", "--height", "3"], capsys)
+        code, _, err = run(
+            capsys, "solve", gpath, "-k", "2", "--tw-threshold", "2", "--oracle-fallback"
+        )
         assert code == 3
         assert "guard" in err
+        # 21 vertices at treewidth 2 answer within the default guards
+        gpath = write_graph(tmp_path, "big.json", ["gen", "odd_cycles", "--count", "7"], capsys)
+        code, out, _ = run(capsys, "solve", gpath, "-k", "1")
+        assert code == 0
+        assert json.loads(out)["outcome"]["kind"] == "packing"
+
+    @pytest.mark.parametrize(
+        "gen, k",
+        [
+            (["odd_cycles", "--count", "7"], 2),
+            (["odd_cycles", "--count", "1", "--length", "3000"], 1),
+            (["odd_cycles", "--count", "300"], 200),
+            (["zm_grid", "--modulus", "3", "--rows", "4", "--cols", "100"], 2),
+        ],
+        ids=["odd-cycles-7", "cycle-3000", "triangles-300", "zm-grid-3x4x100"],
+    )
+    def test_large_low_width_instances_pack(self, tmp_path, capsys, gen, k):
+        gpath = write_graph(tmp_path, "g.json", ["gen", *gen], capsys)
+        cpath = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "solve", gpath, "-k", str(k), "--out", str(cpath))
+        assert code == 0
+        doc = json.loads(cpath.read_text())
+        assert doc["outcome"]["kind"] == "packing"
+        assert [t["step"] for t in doc["trail"]] == [
+            "strip", "treewidth", "bounded-treewidth"
+        ]
+        code, out, _ = run(capsys, "verify", gpath, str(cpath))
+        assert code == 0
+        assert json.loads(out)["valid"] is True
 
     @pytest.mark.parametrize(
         "td",
@@ -149,6 +182,76 @@ class TestSolveVerify:
         code, _, err = run(capsys, "solve", gpath, "-k", "1", "--td", str(tdpath))
         assert code == 2
         assert "error" in err
+
+    # Each document below names the same decomposition or expansion as the
+    # valid one once a bool, a float or a padded key is read as an integer,
+    # so only the reader can refuse it.
+    @pytest.mark.parametrize(
+        "td",
+        [
+            {"nodes": [False], "parent": {"0": None}, "bags": {"0": [0, 1, 2]}},
+            {"nodes": [0.0], "parent": {"0": None}, "bags": {"0": [0, 1, 2]}},
+            {"nodes": [0], "parent": {"0": None}, "bags": {"0": [False, True, 2]}},
+            {"nodes": [0], "parent": {"0": None}, "bags": {"0": [0, 1, 2.0]}},
+            {"nodes": [0], "parent": {"0": None}, "bags": {"0": "012"}},
+            {"nodes": [0], "parent": {" 0": None}, "bags": {"0": [0, 1, 2]}},
+            {"nodes": [0], "parent": {"0": None}, "bags": {"+0": [0, 1, 2]}},
+            {
+                "nodes": [0, 1],
+                "parent": {"0": None, "1": False},
+                "bags": {"0": [0, 1, 2], "1": [0]},
+            },
+        ],
+        ids=[
+            "node-bool", "node-float", "bag-bools", "bag-float", "bag-string",
+            "parent-key-space", "bag-key-plus", "parent-bool",
+        ],
+    )
+    def test_non_integer_td_is_input_error(self, tmp_path, capsys, td):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
+        tdpath = tmp_path / "td.json"
+        tdpath.write_text(json.dumps(td))
+        code, _, err = run(capsys, "solve", gpath, "-k", "1", "--td", str(tdpath))
+        assert code == 2
+        assert "integer" in err or "must be a list" in err
+
+    @pytest.mark.parametrize(
+        "field, key, new_key, value",
+        [
+            ("supernodes", "3", "3", "3"),
+            ("supernodes", "1", "1", [True, 7, 8]),
+            ("supernodes", "2", "2", [2, 9.0]),
+            ("supernodes", "3", " 3", [3]),
+            ("tree_edges", "2", "2", [10.5]),
+            ("edge_map", "0,1", "0,1", 1.9),
+            ("edge_map", "0,1", "0,1", True),
+            ("edge_map", "0,1", "0, 1", 1),
+            ("centers", "1", "1", 1.5),
+            ("centers", "1", "1", True),
+        ],
+        ids=[
+            "supernode-string", "supernode-bool", "supernode-float",
+            "supernode-key-space", "tree-edge-float", "edge-float", "edge-bool",
+            "edge-key-space", "center-float", "center-bool",
+        ],
+    )
+    def test_non_integer_expansion_is_input_error(
+        self, tmp_path, capsys, field, key, new_key, value
+    ):
+        gpath = tmp_path / "g.json"
+        wpath = tmp_path / "w.json"
+        run(capsys, "gen", "subdivided_clique", "--ell", "4",
+            "--out", str(gpath), "--witness-out", str(wpath))
+        argv = ["solve", str(gpath), "-k", "1", "--tw-threshold", "2",
+                "--expansion-witness", str(wpath)]
+        assert run(capsys, *argv)[0] == 0
+        doc = json.loads(wpath.read_text())
+        del doc[field][key]
+        doc[field][new_key] = value
+        wpath.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "integer" in err or "must be a list" in err
 
     def test_paper_mode(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)

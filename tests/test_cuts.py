@@ -5,11 +5,8 @@ import pytest
 
 from epkit.cuts import (
     ImportantSeparator,
-    MultiwayCutInstance,
     enumerate_important_separators,
     find_irrelevant_vertex,
-    is_minimal_multiway_cut,
-    is_multiway_cut,
     max_disjoint_paths,
     tw_reduction_set,
     verify_well_linked,
@@ -296,94 +293,6 @@ def all_partitions(items):
         yield from grow(tail, blocks + [[head]])
 
     yield from grow(rest, [[first]])
-
-
-class TestMultiwayCut:
-    def star(self):
-        return plain(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-
-    def test_star_center_minimal(self):
-        inst = MultiwayCutInstance(
-            self.star(), frozenset({1, 2, 3, 4}),
-            (frozenset({1, 2}), frozenset({3, 4})),
-        )
-        assert is_minimal_multiway_cut(inst, {0})
-
-    def test_empty_cut_vacuously_minimal(self):
-        g = plain(4, [(0, 1), (2, 3)])
-        inst = MultiwayCutInstance(
-            g, frozenset({0, 2}), (frozenset({0}), frozenset({2}))
-        )
-        assert is_minimal_multiway_cut(inst, set())
-
-    def test_padding_breaks_minimality(self):
-        g = plain(4, [(1, 0), (0, 2), (1, 3), (3, 2)])
-        inst = MultiwayCutInstance(
-            g, frozenset({1, 2}), (frozenset({1}), frozenset({2}))
-        )
-        assert is_multiway_cut(inst, {0, 3})
-        assert is_minimal_multiway_cut(inst, {0, 3})
-        g2 = plain(5, [(1, 0), (0, 2), (1, 3), (3, 2), (1, 4)])
-        inst2 = MultiwayCutInstance(
-            g2, frozenset({1, 2}), (frozenset({1}), frozenset({2}))
-        )
-        assert is_multiway_cut(inst2, {0, 3, 4})
-        assert not is_minimal_multiway_cut(inst2, {0, 3, 4})
-
-    def test_non_cut(self):
-        inst = MultiwayCutInstance(
-            self.star(), frozenset({1, 2}), (frozenset({1}), frozenset({2}))
-        )
-        assert not is_minimal_multiway_cut(inst, set())
-
-    def test_terminal_overlap_rejected(self):
-        inst = MultiwayCutInstance(
-            self.star(), frozenset({1, 2}), (frozenset({1}), frozenset({2}))
-        )
-        with pytest.raises(InputError):
-            is_multiway_cut(inst, {1})
-
-    def test_instance_validation(self):
-        g = self.star()
-        with pytest.raises(InputError):
-            MultiwayCutInstance(g, frozenset({1, 2}), (frozenset({1, 2}),))
-        with pytest.raises(InputError):
-            MultiwayCutInstance(
-                g, frozenset({1, 2}), (frozenset({1}), frozenset())
-            )
-        with pytest.raises(InputError):
-            MultiwayCutInstance(
-                g, frozenset({1, 2}), (frozenset({1}), frozenset({1, 2}))
-            )
-        with pytest.raises(InputError):
-            MultiwayCutInstance(
-                g, frozenset({1, 2, 3}), (frozenset({1}), frozenset({2}))
-            )
-        with pytest.raises(InputError):
-            MultiwayCutInstance(
-                g, frozenset({9}), (frozenset({9}), frozenset({9}))
-            )
-
-    def test_matches_definition_brute_force(self):
-        rng = random.Random(31)
-        for seed in range(25):
-            n = rng.randint(4, 7)
-            g = random_plain(2000 + seed, n, rng.uniform(0.25, 0.7))
-            verts = list(g.vertices)
-            t_count = rng.randint(2, min(4, n))
-            terms = rng.sample(verts, t_count)
-            cut_point = rng.randint(1, t_count - 1)
-            partition = (frozenset(terms[:cut_point]), frozenset(terms[cut_point:]))
-            inst = MultiwayCutInstance(g, frozenset(terms), partition)
-            adj = adjacency(g)
-            others = sorted(set(verts) - set(terms))
-            for size in range(0, len(others) + 1):
-                for comb in itertools.combinations(others, size):
-                    s = frozenset(comb)
-                    assert is_multiway_cut(inst, s) == oracle_is_cut(adj, partition, s)
-                    assert is_minimal_multiway_cut(inst, s) == oracle_is_minimal_cut(
-                        adj, partition, s
-                    ), (seed, sorted(s))
 
 
 class TestWellLinked:

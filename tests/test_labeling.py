@@ -14,7 +14,6 @@ from epkit.graph import (
     build_graph,
     canonical_cycle,
     is_non_null_cycle,
-    walk_value,
     walk_vertices,
 )
 from epkit.groups import (
@@ -30,10 +29,8 @@ from epkit.labeling import (
     find_consistent_labeling,
     find_non_null_cycle,
     is_clean,
-    non_null_walk_exists,
     shift,
     untangle,
-    non_null_path_exists,
     verify_gfvs,
 )
 from epkit.oracle import enumerate_non_null_cycles
@@ -236,101 +233,6 @@ class TestGfvsCheck:
                 set(walk_vertices(g, w)) & set(subset) for w in cycles
             )
             assert verify_gfvs(g, subset).verified == expected
-
-
-class TestNonNullWalk:
-    def test_clean_path_label_difference(self):
-        g = build_graph(Cyclic(5), 3, [(0, 1, 2), (1, 2, 3)])
-        assert non_null_walk_exists(g, 0, 1)
-        assert not non_null_walk_exists(g, 0, 2)  # 2 + 3 = 0 mod 5
-
-    def test_disconnected(self):
-        g = build_graph(Cyclic(2), 4, [(0, 1, 1), (2, 3, 1)])
-        assert not non_null_walk_exists(g, 0, 2)
-
-    def test_non_clean_component_always_yes(self):
-        g = build_graph(
-            Cyclic(2), 5, [(0, 1, 1), (1, 2, 0), (2, 0, 0), (2, 3, 0), (3, 4, 0)]
-        )
-        assert non_null_walk_exists(g, 3, 4)
-        assert non_null_walk_exists(g, 0, 0)
-
-    def test_matches_walk_search_on_randoms(self):
-        # independent check: breadth-first over (vertex, value) pairs
-        from epkit.groups import multiply, inverse as ginv
-
-        for seed in range(25):
-            spec = SPECS[seed % len(SPECS)]
-            g = random_graph(seed + 500, 6, 8, spec)
-            s, t = 0, 5
-
-            start = (s, identity(spec))
-            seen = {start}
-            frontier = [start]
-            found = False
-            while frontier and not found:
-                nxt = []
-                for v, val in frontier:
-                    for arc in g.incident(v):
-                        if arc.is_loop:
-                            moves = [(v, arc.label)]
-                        elif arc.tail == v:
-                            moves = [(arc.head, arc.label)]
-                        else:
-                            moves = [(arc.tail, ginv(arc.label))]
-                        for w, lab in moves:
-                            state = (w, multiply(val, lab))
-                            if state not in seen:
-                                seen.add(state)
-                                nxt.append(state)
-                frontier = nxt
-            found = any(v == t and not is_identity(val) for v, val in seen)
-            assert non_null_walk_exists(g, s, t) == found, f"seed {seed}"
-
-
-class TestNonNullPath:
-    def test_same_endpoint_absent(self):
-        g = build_graph(Cyclic(2), 3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-        assert non_null_path_exists(g, 0, 0) is None
-
-    def test_parallel_arcs(self):
-        g = build_graph(Cyclic(2), 2, [(0, 1, 0), (0, 1, 1)])
-        walk = non_null_path_exists(g, 0, 1)
-        assert walk is not None
-        assert walk.steps == ((1, 1),)
-
-    def test_matches_path_enumeration(self):
-        import networkx as nx
-        from epkit.groups import multiply, inverse as ginv
-
-        for seed in range(30):
-            spec = SPECS[seed % len(SPECS)]
-            g = random_graph(seed + 700, 8, 12, spec)
-            mg = nx.MultiGraph()
-            mg.add_nodes_from(g.vertices)
-            for arc in g.arcs:
-                if not arc.is_loop:
-                    mg.add_edge(arc.tail, arc.head, key=arc.id)
-            u, v = 0, 7
-            expected = False
-            for path in nx.all_simple_edge_paths(mg, u, v):
-                value = identity(spec)
-                at = u
-                for a, b, key in path:
-                    arc = g.arc(key)
-                    lab = arc.label if arc.tail == at else ginv(arc.label)
-                    value = multiply(value, lab)
-                    at = arc.other(at)
-                if not is_identity(value):
-                    expected = True
-                    break
-            walk = non_null_path_exists(g, u, v)
-            assert (walk is not None) == expected, f"seed {seed}"
-            if walk is not None:
-                seq = walk_vertices(g, walk)
-                assert seq[0] == u and seq[-1] == v
-                assert len(set(seq)) == len(seq)
-                assert not is_identity(walk_value(g, walk))
 
 
 class TestBlockRichness:

@@ -32,7 +32,6 @@ from epkit.packing import (
     expansion_from_json_dict,
     expansion_to_json_dict,
     find_clique_expansion,
-    is_non_null_s_path,
     non_null_s_paths_or_hitting_set,
     rho_threshold,
     verify_expansion,
@@ -121,6 +120,19 @@ def oracle_has_clique_minor(g, ell):
         ):
             return True
     return False
+
+
+def is_non_null_s_path(g, s, walk):
+    """Reference predicate: a simple path with distinct endpoints in s,
+    interior outside s, and value other than the identity."""
+    if not walk.steps:
+        return False
+    seq = walk_vertices(g, walk)
+    if len(set(seq)) != len(seq):
+        return False
+    if seq[0] not in s or seq[-1] not in s or any(v in s for v in seq[1:-1]):
+        return False
+    return not is_identity(walk_value(g, walk))
 
 
 class TestVerifyExpansion:

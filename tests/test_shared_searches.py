@@ -1,9 +1,9 @@
 """The shared searches against reference copies of per-caller routines.
 
-`oracle.simple_paths` serves cycle enumeration, S-path enumeration and the
-non-null path search; `oracle.min_hitting_set` serves `min_gfvs` and the
-S-path duality; `graph.reach` serves components and the cut routines. The
-reference functions below are self-contained searches written for each
+`oracle.simple_paths` serves cycle enumeration and S-path enumeration;
+`oracle.min_hitting_set` serves `min_gfvs` and the S-path duality;
+`graph.reach` serves components and the cut routines. The reference
+functions below are self-contained searches written for each
 caller. The package must reproduce them step for step, not merely as sets:
 S-path order feeds `_max_disjoint_indices`, and the first cycle direction
 found is the one a certificate prints.
@@ -27,12 +27,8 @@ from epkit.groups import (
     Cyclic,
     Symmetric,
     elements,
-    identity,
-    inverse,
     is_identity,
-    multiply,
 )
-from epkit.labeling import non_null_path_exists
 from epkit.oracle import enumerate_cycles, min_gfvs, min_hitting_set, simple_paths
 from epkit.packing import (
     _max_disjoint_indices,
@@ -136,35 +132,6 @@ def reference_s_paths(g, s_set):
     return out
 
 
-def reference_non_null_path(g, u, v):
-    if u == v:
-        return None
-
-    def dfs(at, value, visited, steps):
-        for arc in g.incident(at):
-            if arc.is_loop:
-                continue
-            nxt = arc.other(at)
-            if nxt in visited:
-                continue
-            if arc.tail == at:
-                direction, lab = FORWARD, arc.label
-            else:
-                direction, lab = REVERSE, inverse(arc.label)
-            new_value = multiply(value, lab)
-            new_steps = steps + ((arc.id, direction),)
-            if nxt == v:
-                if not is_identity(new_value):
-                    return Walk(new_steps)
-                continue
-            found = dfs(nxt, new_value, visited | {nxt}, new_steps)
-            if found is not None:
-                return found
-        return None
-
-    return dfs(u, identity(g.group), frozenset([u]), ())
-
-
 def reference_min_gfvs(g):
     """Iterative deepening without a cap over the non-null cycles."""
     sets = [
@@ -258,15 +225,6 @@ class TestSimplePaths:
             assert enumerate_non_null_s_paths(g, s_set) == reference_s_paths(
                 g, s_set
             ), seed
-
-    def test_non_null_path_exists(self):
-        for seed in SEEDS[:80]:
-            g = instance(seed)
-            for u in g.vertices:
-                for v in g.vertices:
-                    assert non_null_path_exists(g, u, v) == reference_non_null_path(
-                        g, u, v
-                    ), (seed, u, v)
 
 
 # One hitting-set search ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """The driver: arc stripping, branch selection, recursion, certificate lifts.
 
-Fixtures are sized so exact treewidth and the exhaustive oracle stay cheap.
+Fixtures are sized so the exhaustive oracle stays cheap.
 The K8-core fixtures steer the driver into the clique-expansion machinery;
 their expected outcomes were measured once and frozen.
 """
@@ -17,7 +17,7 @@ from epkit.generators import escher_wall, odd_cycles, random_instance, zm_grid
 from epkit.graph import build_graph, dump_json
 from epkit.groups import Cyclic, Symmetric, elements, identity, inverse, is_identity, multiply
 from epkit.labeling import GfvsCertificate, is_clean
-from epkit.oracle import OracleGuards, enumerate_non_null_cycles
+from epkit.oracle import enumerate_non_null_cycles
 from epkit.packing import CliqueExpansion
 from epkit.solver import (
     DriverConfig,
@@ -276,13 +276,57 @@ class TestSolveBoundedTw:
         cert = solve(g, 1)
         assert cert.kind == "packing"
         assert verify_certificate(g, cert) == (True, "")
-        # 21 vertices: the S-path duality's oracle still trips its guard
+        # 21 vertices at treewidth 2 take the bounded-treewidth branch
         big = odd_cycles(7)
-        with pytest.raises(GuardExceeded):
-            solve(big, 1)
-        cert = solve(big, 1, guards=OracleGuards(max_vertices=21))
+        cert = solve(big, 1)
         assert cert.kind == "packing"
         assert verify_certificate(big, cert) == (True, "")
+        # 21 vertices at min-fill width 6, above a threshold of 2: the oracle
+        # fallback still trips its vertex guard
+        wall = escher_wall(3)
+        with pytest.raises(GuardExceeded, match="oracle limited to 14 vertices, got 21"):
+            solve(wall, 2, DriverConfig(tw_threshold=2, oracle_fallback=True))
+
+
+class TestMinFillRouting:
+    """Every level decomposes by min-fill, whatever the graph's size."""
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: odd_cycles(7, 3), 2),
+            (lambda: odd_cycles(1, 3000), 1),
+            (lambda: odd_cycles(300, 3), 200),
+            (lambda: zm_grid(3, 4, 100), 2),
+        ],
+        ids=["odd-cycles-7", "cycle-3000", "triangles-300", "zm-grid-3x4x100"],
+    )
+    def test_large_low_width_instances_pack(self, make, k):
+        g = make()
+        cert = solve(g, k)
+        assert cert.kind == "packing"
+        assert [t["step"] for t in cert.trail] == [
+            "strip", "treewidth", "bounded-treewidth"
+        ]
+        assert verify_certificate(g, cert) == (True, "")
+
+    def test_width_is_min_fill_of_stripped_graph(self):
+        seen_large = False
+        for seed in range(40):
+            group = (Cyclic(2), Cyclic(3), Cyclic(6), Symmetric(3))[seed % 4]
+            n = 6 + seed
+            g = random_instance(n, n + n // 3, group, seed=seed)
+            cert = solve(g, 2, DriverConfig(tw_threshold=n))
+            assert verify_certificate(g, cert) == (True, ""), seed
+            assert "treewidth-skipped" not in [t["step"] for t in cert.trail], seed
+            stripped = strip_null_arcs(g)
+            if is_clean(stripped):
+                continue
+            entry = cert.trail[1]
+            assert entry["step"] == "treewidth"
+            assert entry["width"] == tree_decomposition(stripped, "heuristic").width
+            seen_large |= g.n > 20
+        assert seen_large
 
 
 class TestSolveExpansionBranch:

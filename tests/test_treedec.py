@@ -29,7 +29,6 @@ from epkit.treedec import (
     _min_fill_order,
     packing_or_cover_bounded_tw,
     td_from_json_dict,
-    td_to_json_dict,
     tree_decomposition,
     treewidth_exact,
     validate_tree_decomposition,
@@ -356,6 +355,15 @@ class TestValidator:
             assert got == expected, f"seed {seed}"
             verdicts.add(got is None)
         assert verdicts == {True, False}
+
+
+def td_to_json_dict(td):
+    """Reference writer for the decomposition document in docs/format.md."""
+    return {
+        "nodes": list(td.nodes),
+        "parent": {str(n): td.parent[n] for n in td.nodes},
+        "bags": {str(n): sorted(td.bags[n]) for n in td.nodes},
+    }
 
 
 class TestJson:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from epkit.certificates import Certificate
+from epkit.certificates import (
+    Certificate,
+    certificate_from_json_dict,
+    certificate_to_json_dict,
+)
 from epkit.generators import odd_cycles
 from epkit.graph import Walk
 from epkit.labeling import GfvsCertificate
@@ -24,6 +28,17 @@ class TestAccept:
     def test_cover(self):
         g, cert = solved(3)
         assert verify_certificate(g, cert) == (True, "")
+
+
+    def test_older_trail_with_skipped_width(self):
+        # older versions skipped the width above 20 vertices and logged it
+        g = odd_cycles(7)
+        doc = certificate_to_json_dict(solve(g, 1))
+        doc["trail"][1:2] = [
+            {"step": "treewidth-skipped", "vertices": 21},
+            {"step": "treewidth", "width": None, "threshold": 4},
+        ]
+        assert verify_certificate(g, certificate_from_json_dict(doc)) == (True, "")
 
 
 class TestReject:
