@@ -9,6 +9,9 @@ it returns a witness cycle whose value is not the identity.
 Shifting relabels arcs by lam(u) * x * lam(v)^-1 without changing the value
 of any closed walk. Shifting around a clean vertex set A makes every arc
 inside A carry the identity label.
+
+A PotentialMap keeps such a labeling while arcs arrive one at a time, so a
+clean check can grow with a graph instead of starting over.
 """
 
 from __future__ import annotations
@@ -36,6 +39,121 @@ class CleanResult:
     clean: bool
     labeling: Optional[dict[int, GroupElement]] = None
     witness: Optional[Walk] = None
+
+
+class PotentialMap:
+    """Potentials of a clean subgraph, grown one arc at a time.
+
+    Each vertex held has a component and a potential p, with
+    p(head) = p(tail) * label on every arc related so far; a labeled graph
+    has such potentials exactly when it is clean (Zaslavsky, Biased graphs
+    I, JCTB 1989). Left-multiplying every potential of one component by the
+    same element keeps all its equations, because labels always multiply on
+    the right. So `relate` joins two components by relabelling the smaller,
+    and inside one component it is a single comparison; the side stays
+    fixed, so non-abelian groups need nothing more. A relation that fails
+    leaves the map unchanged, so the map always holds the potentials of the
+    clean subgraph formed by the arcs that related.
+
+    A component is the list of its members, shared by every member's entry
+    in `comp`; its first member never changes and names it.
+    """
+
+    __slots__ = ("identity", "comp", "pot")
+
+    def __init__(self, identity_element: GroupElement):
+        self.identity = identity_element
+        self.comp: dict[int, list[int]] = {}
+        self.pot: dict[int, GroupElement] = {}
+
+    def relate(self, u: int, v: int, x: GroupElement) -> bool:
+        """Require p(v) = p(u) * x: the arc (u, v) labeled x. False when the
+        arcs related so far close a non-null cycle with it."""
+        if u == v:
+            return is_identity(x)
+        comp, pot = self.comp, self.pot
+        cu = comp.get(u)
+        cv = comp.get(v)
+        if cu is None:
+            if cv is None:
+                members = [u, v]
+                comp[u] = comp[v] = members
+                pot[u] = self.identity
+                pot[v] = x
+            else:
+                cv.append(u)
+                comp[u] = cv
+                pot[u] = multiply(pot[v], inverse(x))
+        elif cv is None:
+            cu.append(v)
+            comp[v] = cu
+            pot[v] = multiply(pot[u], x)
+        elif cu is cv:
+            return pot[v] == multiply(pot[u], x)
+        elif len(cu) >= len(cv):
+            # s * p(v) = p(u) * x
+            self._move(cv, cu, multiply(multiply(pot[u], x), inverse(pot[v])))
+        else:
+            # s * p(u) * x = p(v)
+            self._move(cu, cv, multiply(pot[v], inverse(multiply(pot[u], x))))
+        return True
+
+    def _move(self, src: list[int], dst: list[int], s: GroupElement) -> None:
+        comp, pot = self.comp, self.pot
+        for w in src:
+            comp[w] = dst
+            pot[w] = multiply(s, pot[w])
+        dst.extend(src)
+
+    def relate_induced(
+        self, g: LabeledGraph, keep: set[int], held: frozenset[int] = frozenset()
+    ) -> bool:
+        """Relate every arc of g with both ends in keep, except those with
+        both ends in held (arcs the caller knows the map holds). False at
+        the first conflict. Only the incidences of keep - held are read."""
+        fresh = keep - held
+        for u in fresh:
+            for arc in g.incident(u):
+                tail, head = arc.tail, arc.head
+                w = head if tail == u else tail
+                # an arc between two fresh vertices is related from its tail
+                if w in keep and (tail == u or w not in fresh):
+                    if not self.relate(tail, head, arc.label):
+                        return False
+        return True
+
+    def absorb(self, other: "PotentialMap") -> bool:
+        """Relate everything other holds, and take over its components;
+        other must not be used afterwards. False at the first conflict,
+        with the merge left partly done.
+
+        A component that shares no vertex is copied as it stands. Otherwise
+        its private vertices enter the component of one shared vertex s,
+        shifted into s's frame, and then s is related to each other shared
+        vertex."""
+        comp, pot, opot = self.comp, self.pot, other.pot
+        for r, members in other.comp.items():
+            if members[0] != r:
+                continue
+            shared = [w for w in members if w in comp]
+            if not shared:
+                for w in members:
+                    comp[w] = members
+                    pot[w] = opot[w]
+                continue
+            s = shared[0]
+            back = inverse(opot[s])
+            shift = multiply(pot[s], back)
+            mine = comp[s]
+            for w in members:
+                if w not in comp:
+                    comp[w] = mine
+                    mine.append(w)
+                    pot[w] = multiply(shift, opot[w])
+            for w in shared[1:]:
+                if not self.relate(s, w, multiply(back, opot[w])):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,20 @@ is for the predicate, not for any particular witness set), it is added
 back; the trail records each such repair.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import Certificate
 from .errors import InputError, InternalInvariantError, UnimplementedBranch
 from .graph import LabeledGraph, Separation, blocks_and_cut_vertices
-from .groups import is_identity
-from .labeling import GfvsCertificate, find_non_null_cycle, is_clean, verify_gfvs
+from .groups import identity, is_identity
+from .labeling import (
+    GfvsCertificate,
+    PotentialMap,
+    find_non_null_cycle,
+    is_clean,
+    verify_gfvs,
+)
 from .oracle import DEFAULT_GUARDS, OracleGuards, max_packing, min_gfvs
 from .packing import (
     EXPANSION_ORDER_CAP,
@@ -111,23 +116,37 @@ def strip_null_arcs(g: LabeledGraph) -> LabeledGraph:
     - two of the theta's three cycles contain e, and by the theta property
       of gain graphs (if two cycles of a theta are null, so is the third)
       they cannot both be null, since the third cycle is C.
-    Blocks are checked without loops, because a non-identity loop would
-    make its block look dirty on its own. Removing arcs that lie on no
-    non-null cycle leaves every non-null cycle intact, so one pass is the
-    fixpoint. The result keeps the arc order and the vertex set, and is g
-    itself when nothing is removed.
+    The dirty blocks come from one potential map over the non-loop arcs.
+    An arc that fails to relate closes a non-null cycle with arcs the map
+    holds, and that cycle lies in the arc's block, so the block is dirty.
+    An arc that relates joins the map, so the map stays the potentials of
+    a clean subgraph, and a block all of whose arcs relate is clean.
+    Each arc is seen once, however many blocks share a cut vertex, and the
+    blocks are found only when some arc conflicts. Removing arcs that lie
+    on no non-null cycle leaves every non-null cycle intact, so one pass is
+    the fixpoint. The result keeps the arc order and the vertex set, and is
+    g itself when nothing is removed.
     """
-    loop_ids = [a.id for a in g.arcs if a.is_loop]
-    loopless = g.delete_arcs(loop_ids) if loop_ids else g
-    # a bridge is a block without a cycle; skipping it keeps a hub with
-    # many bridges from scanning its incidence list once per bridge
-    multiplicity = Counter(frozenset((a.tail, a.head)) for a in loopless.arcs)
+    pots = PotentialMap(identity(g.group))
+    conflicts = [
+        a for a in g.arcs if not a.is_loop and not pots.relate(a.tail, a.head, a.label)
+    ]
     dirty_at: dict[int, set[int]] = {}
-    for i, block in enumerate(blocks_and_cut_vertices(loopless)[0]):
-        if len(block) == 2 and multiplicity[block] == 1:
-            continue
-        if not is_clean(loopless, block):
+    if conflicts:
+        blocks = blocks_and_cut_vertices(g)[0]
+        blocks_at: dict[int, list[int]] = {}
+        for i, block in enumerate(blocks):
             for v in block:
+                blocks_at.setdefault(v, []).append(i)
+        dirty = set()
+        for a in conflicts:
+            # the one block holding both ends, searched from the end in fewer
+            u, v = a.tail, a.head
+            if len(blocks_at[u]) > len(blocks_at[v]):
+                u, v = v, u
+            dirty.add(next(i for i in blocks_at[u] if v in blocks[i]))
+        for i in dirty:
+            for v in blocks[i]:
                 dirty_at.setdefault(v, set()).add(i)
     drop = []
     for a in g.arcs:

@@ -16,6 +16,17 @@ Validation is linear in the size of the decomposition plus the graph: the
 tree shape is checked by one walk down from the root, arcs by intersecting
 per-vertex node sets, and each vertex's subtree by counting its topmost
 nodes.
+
+The bounded-treewidth routine asks, in one post-order sweep, whether each
+node's live subtree induces a clean graph. A graph is clean exactly when it
+has vertex potentials with label = p(tail)^-1 * p(head) on every arc
+(Zaslavsky 1989), so each node merges its children's potential maps, small
+into large, and relates only the arcs inside its own bag: by the
+connectivity of bags, every other arc of its subtree lies inside one
+child's subtree. Maps are not purged when vertices are deleted; a stale map
+holds more arcs than the live graph, so its "clean" is exact, and its
+conflict is confirmed on the live subtree before the node is chosen.
+A conflict in a map over live vertices only needs no confirmation.
 """
 
 from __future__ import annotations
@@ -34,7 +45,14 @@ from .graph import (
     is_non_null_cycle,
     walk_vertices,
 )
-from .labeling import GfvsCertificate, find_non_null_cycle, is_clean, verify_gfvs
+from .groups import identity
+from .labeling import (
+    GfvsCertificate,
+    PotentialMap,
+    find_non_null_cycle,
+    is_clean,
+    verify_gfvs,
+)
 
 EXACT_VERTEX_CAP = 20
 
@@ -66,8 +84,11 @@ class TreeDecomposition:
                 out[p].append(n)
         return {n: tuple(sorted(cs)) for n, cs in out.items()}
 
-    def post_order(self) -> list[int]:
-        kids = self.children()
+    def post_order(self, kids: Optional[dict[int, tuple[int, ...]]] = None) -> list[int]:
+        """Children before parents, siblings in id order; `kids` is
+        `self.children()`, passed in by callers that already hold it."""
+        if kids is None:
+            kids = self.children()
         order: list[int] = []
         stack: list[tuple[int, bool]] = [(self.root, False)]
         while stack:
@@ -83,6 +104,13 @@ class TreeDecomposition:
 
 def validate_tree_decomposition(g: LabeledGraph, td: TreeDecomposition) -> None:
     """Raise InputError unless td is a rooted tree decomposition of g."""
+    _checked_children(g, td)
+
+
+def _checked_children(
+    g: LabeledGraph, td: TreeDecomposition
+) -> dict[int, tuple[int, ...]]:
+    """Validate td against g and return its child lists."""
     if not td.nodes:
         raise InputError("decomposition has no nodes")
     if len(set(td.nodes)) != len(td.nodes):
@@ -131,6 +159,7 @@ def validate_tree_decomposition(g: LabeledGraph, td: TreeDecomposition) -> None:
     for v in g.vertices:
         if tops[v] != 1:
             raise InputError(f"bags containing vertex {v} are not connected")
+    return kids
 
 
 def td_from_json_dict(doc: dict) -> TreeDecomposition:
@@ -378,35 +407,71 @@ def packing_or_cover_bounded_tw(
     One post-order sweep picks the same nodes as restarting the scan after
     every round would. Deleting vertices cannot make a clean subtree
     unclean, so every node before the last chosen one stays clean, and the
-    chosen node's subtree is empty afterwards. A node's live subtree set is
-    (bag | children's sets) & live at the moment the sweep reaches it;
-    intersecting with the current live set corrects children's sets that
-    were taken before later deletions.
+    chosen node's subtree is empty afterwards.
+
+    A node is checked with potential maps (`labeling.PotentialMap`) merged
+    up the sweep, not by labeling its subtree again. The node reuses its
+    largest child's vertex set and map, merges the other children's into
+    them (small into large), and relates the arcs inside its live bag.
+    These are all the arcs its subtree adds: if an arc has an end u outside
+    the node's bag while both ends lie in the subtree, the bags holding u
+    form a connected subtree that meets the node's subtree but not the
+    node, so they lie inside one child's subtree; the bag holding both ends
+    is one of them, so both ends lie in that child's subtree. Arcs inside
+    the reused child's bag are in its map already and are skipped.
+
+    Deletions are not purged from pending sets and maps. A map built before
+    a deletion holds a superset of the live subtree's arcs, so when it
+    relates without conflict the live subtree is clean. A map's vertices
+    all lie in its node's set, so when that set holds no deleted vertex the
+    map holds only live arcs and a conflict is a non-null closed walk in
+    the live subtree. Otherwise the conflict is confirmed by labeling the
+    live subtree, and on a false alarm only that node's map is rebuilt,
+    from its live subtree.
     """
     if k < 1:
         raise InputError("k must be positive")
-    validate_tree_decomposition(g, td)
+    kids = _checked_children(g, td)
     w = td.width
-    kids = td.children()
+    e = identity(g.group)
 
     live = set(g.vertices)
     cover: set[int] = set()
     cycles: list[Walk] = []
-    alpha: dict[int, set[int]] = {}
-    sweep = td.post_order() if k > 1 else []
+    # (subtree vertex set, potentials, bag) of each swept node whose parent
+    # is not swept yet; chosen nodes leave no entry
+    pending: dict[int, tuple[set[int], PotentialMap, frozenset[int]]] = {}
+    sweep = td.post_order(kids) if k > 1 else []
     for node in sweep:
-        subtree = set(td.bags[node])
-        for c in kids[node]:
-            subtree |= alpha.pop(c)
-        subtree &= live
-        alpha[node] = subtree
-        if is_clean(g, subtree):
-            continue
-        cycles.append(find_non_null_cycle(g.induced_subgraph(subtree)))
-        cover |= td.bags[node] & live
-        live -= subtree
-        if len(cycles) == k - 1:
-            break
+        parts = [pending.pop(c) for c in kids[node] if c in pending]
+        parts.sort(key=lambda part: len(part[0]))
+        subtree, pots, held = parts.pop() if parts else (set(), PotentialMap(e), frozenset())
+        clean = True
+        for vertices, other, _ in parts:
+            subtree |= vertices
+            clean = clean and pots.absorb(other)
+        bag = td.bags[node] & live
+        subtree |= bag
+        # arcs inside the reused child's bag are in its map already
+        if not (clean and pots.relate_induced(g, bag, held)):
+            before = len(subtree)
+            subtree &= live
+            # a map over live vertices only holds live arcs, so its
+            # conflict is real; one that held a deleted vertex may not be
+            if len(subtree) == before or not is_clean(g, subtree):
+                cycle = find_non_null_cycle(g.induced_subgraph(subtree))
+                if cycle is None:
+                    raise InternalInvariantError("potentials conflict on a clean subtree")
+                cycles.append(cycle)
+                cover |= bag
+                live -= subtree
+                if len(cycles) == k - 1:
+                    break
+                continue
+            pots = PotentialMap(e)
+            if not pots.relate_induced(g, subtree):
+                raise InternalInvariantError("clean subtree has no potentials")
+        pending[node] = (subtree, pots, td.bags[node])
 
     current = g.induced_subgraph(live)
     if is_clean(current):

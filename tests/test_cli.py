@@ -164,6 +164,18 @@ class TestSolveVerify:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_long_odd_cycle_covers(self, tmp_path, capsys):
+        gen = ["gen", "odd_cycles", "--count", "1", "--length", "3000"]
+        gpath = write_graph(tmp_path, "g.json", gen, capsys)
+        cpath = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "solve", gpath, "-k", "2", "--out", str(cpath))
+        assert code == 0
+        doc = json.loads(cpath.read_text())
+        assert doc["outcome"]["kind"] == "gfvs"
+        code, out, _ = run(capsys, "verify", gpath, str(cpath))
+        assert code == 0
+        assert json.loads(out)["valid"] is True
+
     @pytest.mark.parametrize(
         "td",
         [

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from epkit.cuts import (
-    ImportantSeparator,
     enumerate_important_separators,
     find_irrelevant_vertex,
     max_disjoint_paths,
@@ -12,7 +11,7 @@ from epkit.cuts import (
     verify_well_linked,
 )
 from epkit.errors import InputError
-from epkit.graph import LabeledGraph, Separation, build_graph
+from epkit.graph import Separation, build_graph
 from epkit.groups import Cyclic
 from epkit.oracle import ep_predicate, max_packing, min_gfvs
 

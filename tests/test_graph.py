@@ -24,7 +24,7 @@ from epkit.graph import (
     walk_value,
     walk_vertices,
 )
-from epkit.groups import Cyclic, Symmetric, is_identity, make_element, multiply, inverse
+from epkit.groups import Cyclic, Symmetric, is_identity, make_element, multiply
 
 
 def z(n):

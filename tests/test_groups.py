@@ -16,7 +16,6 @@ from epkit.groups import (
     Symmetric,
     elements,
     format_element,
-    identity,
     inverse,
     is_identity,
     make_element,

@@ -1,6 +1,7 @@
-"""Source hygiene for src/epkit, checked on the syntax tree.
+"""Source hygiene for src/epkit and tests/, checked on the syntax tree.
 
-- No module imports a name it does not use.
+- No module, in src/epkit or among the tests, imports a name it does not
+  use.
 - Every top-level function and class is referenced somewhere in src/epkit
   outside its own definition, or is exported through `epkit.__all__`.
 
@@ -13,7 +14,8 @@ import ast
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "epkit"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "epkit"
 
 ALLOWED_WITHOUT_CALLER = {
     "oracle.packing_number": "oracle entry: ground-truth half-integral packing number",
@@ -21,8 +23,8 @@ ALLOWED_WITHOUT_CALLER = {
 }
 
 
-def modules():
-    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def modules(root=SRC):
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
 
 
 def exported(trees):
@@ -72,6 +74,10 @@ def definitions_without_caller(trees, exports):
 def test_no_unused_imports():
     trees = modules()
     assert unused_imports(trees, exported(trees)) == []
+
+
+def test_no_unused_imports_in_tests():
+    assert unused_imports(modules(TESTS), set()) == []
 
 
 def test_every_definition_has_a_caller():

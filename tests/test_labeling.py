@@ -24,8 +24,10 @@ from epkit.groups import (
     identity,
     is_identity,
     make_element,
+    multiply,
 )
 from epkit.labeling import (
+    PotentialMap,
     find_consistent_labeling,
     find_non_null_cycle,
     is_clean,
@@ -152,6 +154,101 @@ class TestCleanSubset:
         g = build_graph(Cyclic(2), 2, [(0, 1, 1)])
         with pytest.raises(InputError, match="not in graph"):
             is_clean(g, {0, 5})
+
+
+def holds_potentials(pots, g, arcs):
+    """Every given arc satisfies p(head) = p(tail) * label, and every
+    component's member list is shared by exactly its members."""
+    for a in arcs:
+        assert pots.pot[a.head] == multiply(pots.pot[a.tail], a.label), a
+    for v, members in pots.comp.items():
+        assert v in members
+        assert all(pots.comp[w] is members for w in members)
+
+
+class TestPotentialMap:
+    """Relating a graph's arcs one by one conflicts exactly when the graph
+    is not clean, in any order and however the arcs are split between maps
+    that are then absorbed."""
+
+    def test_relate_matches_is_clean(self):
+        for seed in range(120):
+            spec = SPECS[seed % len(SPECS)]
+            g = random_graph(seed + 900, 8, 4 + seed % 10, spec)
+            arcs = list(g.arcs)
+            random.Random(seed).shuffle(arcs)
+            pots = PotentialMap(identity(spec))
+            related = []
+            for a in arcs:
+                if not pots.relate(a.tail, a.head, a.label):
+                    break
+                related.append(a)
+            assert (len(related) == len(arcs)) == is_clean(g), seed
+            holds_potentials(pots, g, [a for a in related if not a.is_loop])
+
+    def test_failed_relation_leaves_map_unchanged(self):
+        s3 = Symmetric(3)
+        swap = make_element(s3, (2, 1, 3))
+        cyc = make_element(s3, (2, 3, 1))
+        pots = PotentialMap(identity(s3))
+        assert pots.relate(0, 1, swap)
+        assert pots.relate(1, 2, cyc)
+        before = dict(pots.pot)
+        # closing the path with anything but its value is a conflict
+        assert not pots.relate(0, 2, multiply(cyc, swap))
+        assert pots.pot == before
+        assert pots.relate(0, 2, multiply(swap, cyc))
+
+    def test_joins_relabel_either_side_in_s3(self):
+        # non-abelian labels: a wrong multiplication side breaks the join
+        s3 = Symmetric(3)
+        els = list(elements(s3))
+        rng = random.Random(3)
+        for trial in range(40):
+            pots = PotentialMap(identity(s3))
+            arcs = [(v - 1, v, rng.choice(els)) for v in range(1, 6)]
+            arcs += [(6, v, rng.choice(els)) for v in (7, 8)]
+            # the joining arc points into the larger component or out of it
+            arcs.append((8, 3, rng.choice(els)) if trial % 2 else (3, 8, rng.choice(els)))
+            for u, v, x in arcs:
+                assert pots.relate(u, v, x)
+            assert all(pots.comp[v] is pots.comp[0] for v in range(9))
+            for u, v, x in arcs:
+                assert pots.pot[v] == multiply(pots.pot[u], x)
+
+    def test_loops(self):
+        z3 = Cyclic(3)
+        pots = PotentialMap(identity(z3))
+        assert pots.relate(0, 0, identity(z3))
+        assert not pots.relate(0, 0, make_element(z3, 1))
+        assert pots.comp == {}
+
+    def test_absorb_matches_relating_everything(self):
+        for seed in range(150):
+            spec = SPECS[seed % len(SPECS)]
+            g = random_graph(seed + 1300, 9, 5 + seed % 9, spec)
+            rng = random.Random(seed)
+            left, right = PotentialMap(identity(spec)), PotentialMap(identity(spec))
+            ok = True
+            for a in g.arcs:
+                ok = (left if rng.random() < 0.5 else right).relate(a.tail, a.head, a.label) and ok
+            ok = ok and left.absorb(right)
+            assert ok == is_clean(g), seed
+            if ok:
+                holds_potentials(left, g, [a for a in g.arcs if not a.is_loop])
+
+    def test_relate_induced(self):
+        for seed in range(60):
+            spec = SPECS[seed % len(SPECS)]
+            g = random_graph(seed + 1700, 8, 8 + seed % 7, spec)
+            rng = random.Random(seed)
+            keep = {v for v in g.vertices if rng.random() < 0.7}
+            held = frozenset(v for v in keep if rng.random() < 0.5)
+            pots = PotentialMap(identity(spec))
+            inside_held = [a for a in g.arcs if {a.tail, a.head} <= held]
+            if not all(pots.relate(a.tail, a.head, a.label) for a in inside_held):
+                continue
+            assert pots.relate_induced(g, keep, held) == is_clean(g, keep), seed
 
 
 class TestShift:

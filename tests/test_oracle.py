@@ -12,7 +12,7 @@ import random
 import pytest
 
 from epkit.errors import GuardExceeded, InputError
-from epkit.graph import Walk, build_graph, walk_value, walk_vertices
+from epkit.graph import build_graph, walk_value, walk_vertices
 from epkit.groups import Cyclic, Symmetric, elements, is_identity
 from epkit.oracle import (
     OracleGuards,

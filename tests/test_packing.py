@@ -20,7 +20,7 @@ from epkit.graph import (
     walk_value,
     walk_vertices,
 )
-from epkit.groups import Cyclic, elements, inverse, is_identity, multiply
+from epkit.groups import Cyclic, inverse, is_identity, multiply
 from epkit.labeling import is_clean
 from epkit.oracle import enumerate_non_null_cycles, ep_predicate, min_gfvs
 from epkit.packing import (

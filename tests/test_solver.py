@@ -14,9 +14,9 @@ import epkit.solver
 from epkit.certificates import certificate_to_json_dict
 from epkit.errors import GuardExceeded, InputError, UnimplementedBranch
 from epkit.generators import escher_wall, odd_cycles, random_instance, zm_grid
-from epkit.graph import build_graph, dump_json
+from epkit.graph import LabeledGraph, build_graph, dump_json
 from epkit.groups import Cyclic, Symmetric, elements, identity, inverse, is_identity, multiply
-from epkit.labeling import GfvsCertificate, is_clean
+from epkit.labeling import is_clean
 from epkit.oracle import enumerate_non_null_cycles
 from epkit.packing import CliqueExpansion
 from epkit.solver import (
@@ -28,7 +28,7 @@ from epkit.solver import (
     strip_null_arcs,
     tau_threshold,
 )
-from epkit.treedec import PackingCertificate, tree_decomposition
+from epkit.treedec import tree_decomposition
 from epkit.verify import verify_certificate
 
 Z2 = Cyclic(2)
@@ -171,6 +171,30 @@ class TestStripNullArcs:
         assert strip_null_arcs(g) is g
         big = odd_cycles(1, 3000)
         assert strip_null_arcs(big) is big
+
+    def test_shared_cut_vertex_is_linear(self, monkeypatch, multiplications):
+        # 3000 odd triangles on one hub: checking each block by scanning its
+        # vertices' incidence lists read the hub's 6000 arcs once per block
+        t = 3000
+        arcs = []
+        for i in range(t):
+            a, b = 1 + 2 * i, 2 + 2 * i
+            arcs += [(0, a, 0), (a, b, 0), (b, 0, 1)]
+        g = z2_graph(2 * t + 1, arcs)
+        read = 0
+        real = LabeledGraph.incident
+
+        def counted(self, v):
+            nonlocal read
+            arcs_at = real(self, v)
+            read += len(arcs_at)
+            return arcs_at
+
+        monkeypatch.setattr(LabeledGraph, "incident", counted)
+        assert strip_null_arcs(g) is g
+        size = g.n + len(g.arcs)
+        assert read <= 2 * size
+        assert multiplications[0] <= 4 * size
 
     def test_matches_dfs_reference(self):
         rng = random.Random(20261018)

@@ -7,22 +7,20 @@ orders, written here from the definition with its own contraction routine.
 import itertools
 import json
 import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epkit.labeling
+import epkit.treedec
 from epkit.certificates import Certificate, certificate_to_json_dict
 from epkit.errors import GuardExceeded, InputError
 from epkit.generators import odd_cycles, zm_grid
-from epkit.graph import build_graph, is_non_null_cycle, walk_vertices
+from epkit.graph import build_graph, walk_vertices
 from epkit.groups import Cyclic, Symmetric, elements
-from epkit.labeling import (
-    GfvsCertificate,
-    find_non_null_cycle,
-    is_clean,
-    verify_gfvs,
-)
+from epkit.labeling import GfvsCertificate, find_non_null_cycle, is_clean
 from epkit.oracle import packing_number
+from epkit.solver import solve
 from epkit.treedec import (
     PackingCertificate,
     TreeDecomposition,
@@ -598,11 +596,38 @@ class TestMinFillOrder:
         self.check(grid(rows, cols))
 
 
+def jumbled(td, rng, steps):
+    """A valid decomposition of the same graph with more shapes than an
+    elimination order gives: leaves whose bag is a subset of their parent's,
+    and nodes inserted on an edge holding the edge's shared vertices plus
+    any from either end. Node ids are listed in a shuffled order."""
+    parent = dict(td.parent)
+    bags = dict(td.bags)
+    fresh = max(td.nodes) + 1
+    for _ in range(steps):
+        node = rng.choice(sorted(bags))
+        bag = sorted(bags[node])
+        p = parent[node]
+        if p is None or rng.random() < 0.5:
+            bags[fresh] = frozenset(rng.sample(bag, rng.randint(0, len(bag))))
+            parent[fresh] = node
+        else:
+            either = sorted(bags[node] | bags[p])
+            extra = rng.sample(either, rng.randint(0, len(either)))
+            bags[fresh] = (bags[node] & bags[p]) | frozenset(extra)
+            parent[fresh] = p
+            parent[node] = fresh
+        fresh += 1
+    nodes = sorted(bags)
+    rng.shuffle(nodes)
+    return TreeDecomposition(tuple(nodes), parent, bags)
+
+
 class TestSweepMatchesRounds:
     SPECS = [Cyclic(2), Cyclic(3), Cyclic(6), Symmetric(3)]
 
-    def check(self, g, td):
-        for k in (1, 2, 3, 4):
+    def check(self, g, td, ks=(1, 2, 3, 4)):
+        for k in ks:
             got = packing_or_cover_bounded_tw(g, k, td)
             want = reference_packing_or_cover(g, k, td)
             assert certificate_bytes(k, got) == certificate_bytes(k, want)
@@ -631,6 +656,60 @@ class TestSweepMatchesRounds:
         ):
             self.check(g, tree_decomposition(g, "heuristic"))
 
+    def test_reaches_stale_map_rebuild(self, monkeypatch):
+        """A map built before a deletion may conflict only through deleted
+        vertices; the sweep then finds the live subtree clean and rebuilds
+        that node's map. These seeds reach that path."""
+        false_alarms = 0
+        real = epkit.treedec.is_clean
+
+        def spy(g, s=None):
+            nonlocal false_alarms
+            verdict = real(g, s)
+            false_alarms += s is not None and verdict
+            return verdict
+
+        monkeypatch.setattr(epkit.treedec, "is_clean", spy)
+        for seed in range(240):
+            n = 5 + seed % 20
+            g = random_labeled(seed, n, n + seed % 11, self.SPECS[seed % 4])
+            for mode in ("exact", "heuristic") if n <= 12 else ("heuristic",):
+                self.check(g, tree_decomposition(g, mode), ks=range(1, 7))
+        assert false_alarms >= 5
+
+    def test_jumbled_decompositions(self):
+        # several children per node, whose maps share components
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = 5 + seed % 20
+            g = random_labeled(4000 + seed, n, n + seed % 11, self.SPECS[seed % 4])
+            td = jumbled(tree_decomposition(g, "heuristic"), rng, n)
+            validate_tree_decomposition(g, td)
+            self.check(g, td, ks=range(1, 7))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_property_certificate_bytes_match(self, data):
+        spec = data.draw(st.sampled_from(self.SPECS))
+        n = data.draw(st.integers(1, 12))
+        labels = list(elements(spec))
+        arcs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(labels)
+                ),
+                max_size=2 * n,
+            )
+        )
+        g = build_graph(spec, n, arcs)
+        td = tree_decomposition(g, data.draw(st.sampled_from(["exact", "heuristic"])))
+        if data.draw(st.booleans()):
+            td = jumbled(td, random.Random(data.draw(st.integers(0, 2**16))), n)
+        k = data.draw(st.integers(1, 6))
+        got = packing_or_cover_bounded_tw(g, k, td)
+        want = reference_packing_or_cover(g, k, td)
+        assert certificate_bytes(k, got) == certificate_bytes(k, want)
+
 
 class TestScale:
     def test_work_is_linear_in_nodes(self, monkeypatch):
@@ -658,3 +737,30 @@ class TestScale:
         outcome = packing_or_cover_bounded_tw(g, k, td)
         ok, why = verify_certificate(g, Certificate(k=k, outcome=outcome, trail=()))
         assert ok, why
+
+    def test_long_odd_cycle_cover_is_linear(self, multiplications):
+        # a fresh labeling of every node's subtree made this quadratic: about
+        # 750 multiplications per vertex and arc at this size
+        g = odd_cycles(1, 3000)
+        multiplications[0] = 0
+        cert = solve(g, 2)
+        assert isinstance(cert.outcome, GfvsCertificate)
+        assert len(cert.outcome.vertices) <= 3
+        ok, why = verify_certificate(g, cert)
+        assert ok, why
+        assert multiplications[0] <= 10 * (g.n + len(g.arcs))
+
+    def test_child_lists_built_once(self, monkeypatch):
+        calls = 0
+        real = TreeDecomposition.children
+
+        def counted(td):
+            nonlocal calls
+            calls += 1
+            return real(td)
+
+        g = zm_grid(3, 3, 8)
+        td = tree_decomposition(g, "heuristic")
+        monkeypatch.setattr(TreeDecomposition, "children", counted)
+        packing_or_cover_bounded_tw(g, 3, td)
+        assert calls == 1

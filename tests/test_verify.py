@@ -10,7 +10,7 @@ from epkit.certificates import (
 from epkit.generators import odd_cycles
 from epkit.graph import Walk
 from epkit.labeling import GfvsCertificate
-from epkit.solver import DriverConfig, solve
+from epkit.solver import solve
 from epkit.treedec import PackingCertificate
 from epkit.verify import verify_certificate
 
