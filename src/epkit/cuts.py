@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, InternalInvariantError
 from .graph import LabeledGraph, Separation, reach, validate_separation
-from .labeling import is_clean, untangle
+from .labeling import is_clean
 
 Adjacency = dict[int, tuple[int, ...]]
 
@@ -469,7 +469,6 @@ def find_irrelevant_vertex(
     witness = verify_well_linked(g_a, z_set, p + 1)
     if not witness.linked:
         raise InputError("precondition failed: Z is not well-linked in the A side")
-    g_a = untangle(g_a, sep.a)
 
     # deleting boundary vertices can degrade Z's linkage, so the inner calls
     # skip the entry validation; the premises were checked once above

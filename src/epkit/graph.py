@@ -24,6 +24,7 @@ from .groups import (
     format_element,
     identity,
     inverse,
+    is_identity,
     make_element,
     multiply,
     parse_element,
@@ -233,8 +234,6 @@ def is_cycle(g: LabeledGraph, walk: Walk) -> bool:
 
 
 def is_non_null_cycle(g: LabeledGraph, walk: Walk) -> bool:
-    from .groups import is_identity
-
     return is_cycle(g, walk) and not is_identity(walk_value(g, walk))
 
 

@@ -10,8 +10,12 @@ Shifting relabels arcs by lam(u) * x * lam(v)^-1 without changing the value
 of any closed walk. Shifting around a clean vertex set A makes every arc
 inside A carry the identity label.
 
-A PotentialMap keeps such a labeling while arcs arrive one at a time, so a
-clean check can grow with a graph instead of starting over.
+One-shot checks label a vertex set once: `find_consistent_labeling(g, s)`
+is the one breadth-first search, and `is_clean`, `find_non_null_cycle`,
+`untangle` and `verify_gfvs` read it over g's own incidence lists, so no
+induced subgraph is built. Incremental checks, which grow or merge a
+labeling as arcs arrive (the strip and the bounded-treewidth sweep), keep
+it in a PotentialMap instead of starting over.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from .graph import (
     Arc,
     LabeledGraph,
     Walk,
+    is_cycle,
     is_non_null_cycle,
     walk_value,
+    walk_vertices,
 )
 from .groups import GroupElement, identity, inverse, is_identity, multiply
 
@@ -175,8 +181,6 @@ def _extract_non_null_from_closed(g: LabeledGraph, walk: Walk) -> Walk:
     the repeats and the remainder. At least one part is non-null because
     values multiply. Recurses on that part.
     """
-    from .graph import is_cycle, walk_vertices
-
     if is_cycle(g, walk):
         return walk
     seq = walk_vertices(g, walk)
@@ -202,88 +206,37 @@ def _extract_non_null_from_closed(g: LabeledGraph, walk: Walk) -> Walk:
     return _extract_non_null_from_closed(g, rest)
 
 
-def find_consistent_labeling(g: LabeledGraph) -> CleanResult:
-    """BFS labeling per component; on conflict, returns a witness cycle.
+def find_consistent_labeling(
+    g: LabeledGraph, s: Optional[Iterable[int]] = None
+) -> CleanResult:
+    """Label G[s] (the whole graph when s is None) by a BFS per component;
+    on a conflict, return a witness cycle instead.
+
+    The BFS walks g's incidence lists and skips arcs leaving s, so no
+    subgraph is built. It skips the arc that labeled each vertex, which
+    holds by construction, and checks an arc (u, v, x) as
+    lam(v) == lam(u) * x, so only labeling against an arc's orientation
+    needs an inverse. Roots are taken in ascending order, so the labeling
+    and the witness are the ones the search gives on g.induced_subgraph(s).
 
     The witness for a violated arc a = (u, v) is the tree path from v back
     to u followed by a itself; its value is lam(v)^-1 * lam(u) * x, which is
     non-identity exactly when the arc is violated.
     """
-    labeling: dict[int, GroupElement] = {}
-    # parent step per vertex, to rebuild tree walks
-    parent: dict[int, Optional[tuple[int, int, int]]] = {}  # v -> (u, arc_id, dir)
-    e = identity(g.group)
-
-    for root in g.vertices:
-        if root in labeling:
-            continue
-        labeling[root] = e
-        parent[root] = None
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for arc in g.incident(u):
-                # orient the traversal out of u
-                if arc.tail == u:
-                    w, direction, lab = arc.head, FORWARD, arc.label
-                else:
-                    w, direction, lab = arc.tail, REVERSE, inverse(arc.label)
-                target = multiply(labeling[u], lab)
-                if w not in labeling:
-                    labeling[w] = target
-                    parent[w] = (u, arc.id, direction)
-                    queue.append(w)
-                elif labeling[w] != target:
-                    # covers non-identity self-loops too: w == u there
-                    witness = _witness_for_violation(g, parent, u, w, arc.id, direction)
-                    return CleanResult(clean=False, witness=witness)
-    return CleanResult(clean=True, labeling=labeling)
-
-
-def _tree_walk_to_root(parent, v: int) -> list[tuple[int, int]]:
-    """Steps from v up to its BFS root, each step directed toward the root."""
-    steps = []
-    while parent[v] is not None:
-        u, arc_id, direction = parent[v]
-        steps.append((arc_id, -direction))
-        v = u
-    return steps
-
-
-def _witness_for_violation(g, parent, u: int, w: int, arc_id: int, direction: int) -> Walk:
-    """Closed walk: root -> u, the violated arc to w, then w -> root."""
-    up_u = _tree_walk_to_root(parent, u)
-    down_u = [(aid, -d) for (aid, d) in reversed(up_u)]
-    up_w = _tree_walk_to_root(parent, w)
-    closed = Walk(tuple(down_u) + ((arc_id, direction),) + tuple(up_w))
-    if is_identity(walk_value(g, closed)):
-        raise InternalInvariantError("violation witness has identity value")
-    witness = _extract_non_null_from_closed(g, closed)
-    if not is_non_null_cycle(g, witness):
-        raise InternalInvariantError("witness extraction failed")
-    return witness
-
-
-def is_clean(g: LabeledGraph, s: Optional[Iterable[int]] = None) -> bool:
-    """Whether G[s] (the whole graph when s is None) has no non-null cycle.
-
-    For a subset, the labeling BFS runs over g's incidence lists and skips
-    arcs leaving s, so no subgraph is built. It also skips the arc that
-    labeled each vertex, which holds by construction, and checks an arc
-    (u, v, x) as lam(v) == lam(u) * x, so only labeling against an arc's
-    orientation needs an inverse."""
     if s is None:
-        return find_consistent_labeling(g).clean
-    keep = set(s)
-    bad = [v for v in keep if not g.has_vertex(v)]
-    if bad:
-        raise InputError(f"vertices not in graph: {sorted(bad)}")
+        keep = set(g.vertices)
+        roots: Iterable[int] = g.vertices
+    else:
+        keep = set(s)
+        bad = [v for v in keep if not g.has_vertex(v)]
+        if bad:
+            raise InputError(f"vertices not in graph: {sorted(bad)}")
+        roots = sorted(keep)
     labeling: dict[int, GroupElement] = {}
+    # the arc that labeled each vertex, to rebuild tree walks
     via: dict[int, Optional[Arc]] = {}
     e = identity(g.group)
-    for root in keep:
+    for root in roots:
         if root in labeling:
             continue
         labeling[root] = e
@@ -300,18 +253,56 @@ def is_clean(g: LabeledGraph, s: Optional[Iterable[int]] = None) -> bool:
                     labeling[w] = multiply(lab_u, arc.label if forward else inverse(arc.label))
                     via[w] = arc
                     queue.append(w)
-                elif forward:
-                    if labeling[w] != multiply(lab_u, arc.label):
-                        return False
-                elif lab_u != multiply(labeling[w], arc.label):
-                    return False
-    return True
+                elif (
+                    labeling[w] != multiply(lab_u, arc.label)
+                    if forward
+                    else lab_u != multiply(labeling[w], arc.label)
+                ):
+                    # covers non-identity self-loops too: w == u there
+                    direction = FORWARD if forward else REVERSE
+                    witness = _witness_for_violation(g, via, u, w, arc.id, direction)
+                    return CleanResult(clean=False, witness=witness)
+    return CleanResult(clean=True, labeling=labeling)
 
 
-def find_non_null_cycle(g: LabeledGraph) -> Optional[Walk]:
-    """A non-null cycle if one exists, else None. Linear-time certificate."""
-    result = find_consistent_labeling(g)
-    return None if result.clean else result.witness
+def _tree_walk_to_root(via: dict[int, Optional[Arc]], v: int) -> list[tuple[int, int]]:
+    """Steps from v up to its BFS root, each step directed toward the root."""
+    steps = []
+    arc = via[v]
+    while arc is not None:
+        if arc.tail == v:
+            steps.append((arc.id, FORWARD))
+            v = arc.head
+        else:
+            steps.append((arc.id, REVERSE))
+            v = arc.tail
+        arc = via[v]
+    return steps
+
+
+def _witness_for_violation(g, via, u: int, w: int, arc_id: int, direction: int) -> Walk:
+    """Closed walk: root -> u, the violated arc to w, then w -> root."""
+    up_u = _tree_walk_to_root(via, u)
+    down_u = [(aid, -d) for (aid, d) in reversed(up_u)]
+    up_w = _tree_walk_to_root(via, w)
+    closed = Walk(tuple(down_u) + ((arc_id, direction),) + tuple(up_w))
+    if is_identity(walk_value(g, closed)):
+        raise InternalInvariantError("violation witness has identity value")
+    witness = _extract_non_null_from_closed(g, closed)
+    if not is_non_null_cycle(g, witness):
+        raise InternalInvariantError("witness extraction failed")
+    return witness
+
+
+def is_clean(g: LabeledGraph, s: Optional[Iterable[int]] = None) -> bool:
+    """Whether G[s] (the whole graph when s is None) has no non-null cycle."""
+    return find_consistent_labeling(g, s).clean
+
+
+def find_non_null_cycle(g: LabeledGraph, s: Optional[Iterable[int]] = None) -> Optional[Walk]:
+    """A non-null cycle of G[s] (the whole graph when s is None) if one
+    exists, else None. Linear-time certificate."""
+    return find_consistent_labeling(g, s).witness
 
 
 def shift(g: LabeledGraph, gamma: dict[int, GroupElement]) -> LabeledGraph:
@@ -333,8 +324,7 @@ def untangle(g: LabeledGraph, area: Iterable[int]) -> LabeledGraph:
     """Shift so that every arc with both ends inside `area` carries the
     identity. Requires the induced subgraph on `area` to be clean."""
     area_set = set(area)
-    sub = g.induced_subgraph(area_set)
-    result = find_consistent_labeling(sub)
+    result = find_consistent_labeling(g, area_set)
     if not result.clean:
         raise InputError("cannot untangle: the area induces a non-null cycle")
     assert result.labeling is not None
@@ -354,6 +344,6 @@ def verify_gfvs(g: LabeledGraph, vertices: Iterable[int]) -> GfvsCertificate:
     for v in drop:
         if not g.has_vertex(v):
             raise InputError(f"gfvs names vertex {v} not in the graph")
-    verdict = is_clean(g.delete_vertices(drop))
+    verdict = is_clean(g, [v for v in g.vertices if v not in drop])
     return GfvsCertificate(tuple(sorted(drop)), verdict)
 

@@ -21,6 +21,7 @@ from .graph import (
     Walk,
     canonical_cycle,
     walk_value,
+    walk_vertices,
 )
 from .groups import is_identity
 
@@ -130,8 +131,6 @@ def enumerate_non_null_cycles(
 
 
 def _cycle_vertex_sets(g: LabeledGraph, cycles: list[Walk]) -> list[frozenset[int]]:
-    from .graph import walk_vertices
-
     return [frozenset(walk_vertices(g, w)[:-1]) for w in cycles]
 
 

@@ -535,7 +535,7 @@ def clique_branch_separation(
         for i in range(k)
     ]
     unions = [sub.union_vertices() for sub in subs]
-    witnesses = [find_non_null_cycle(g.induced_subgraph(u)) for u in unions]
+    witnesses = [find_non_null_cycle(g, u) for u in unions]
     if all(w is not None for w in witnesses):
         cert = PackingCertificate(tuple(witnesses), "integral")
         if not verify_packing(g, cert):
@@ -578,7 +578,7 @@ def clique_branch_separation(
         # the duality premises do not force this block clean (the pairwise
         # cycle-through-both claim behind that step fails); fall back
         if k == 1:
-            witness = find_non_null_cycle(deleted.induced_subgraph(block))
+            witness = find_non_null_cycle(deleted, block)
             cert = PackingCertificate((witness,), "integral")
             if not verify_packing(g, cert):
                 raise InternalInvariantError("block witness fails verification")
@@ -589,15 +589,15 @@ def clique_branch_separation(
 
     pendant_roots = sorted(cut_vertices & block)
     non_clean: list[tuple[int, frozenset[int]]] = []
+    deleted_adj = deleted.simple_adjacency()
     for z in pendant_roots:
-        hang = deleted.delete_vertices(block - {z})
-        comp = reach(hang.simple_adjacency(), [z])
+        comp = reach(deleted_adj, [z], block - {z})
         if not is_clean(deleted, comp):
             non_clean.append((z, comp))
     if len(non_clean) >= k:
         cycles = []
         for _, comp in non_clean[:k]:
-            cycles.append(find_non_null_cycle(deleted.induced_subgraph(comp)))
+            cycles.append(find_non_null_cycle(deleted, comp))
         cert = PackingCertificate(tuple(cycles), "integral")
         if not verify_packing(g, cert):
             raise InternalInvariantError("pendant packing fails verification")
@@ -613,8 +613,7 @@ def clique_branch_separation(
     ]
     if not free:
         raise InternalInvariantError("no supernode survives the separator")
-    rest = g.delete_vertices(x_prime)
-    component = reach(rest.simple_adjacency(), [eta.centers[free[0]]])
+    component = reach(g.simple_adjacency(), [eta.centers[free[0]]], x_prime)
     if not is_clean(g, component):
         raise InternalInvariantError("component behind the separator is not clean")
     a = component | x_prime

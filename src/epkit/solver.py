@@ -244,7 +244,9 @@ def _solve(
                 ),
             }
         )
-        if is_clean(stripped):
+        # the strip keeps an arc only if it lies on a non-null cycle, so
+        # the stripped graph is clean exactly when it has no arcs
+        if not stripped.arcs:
             trail.append({"step": "clean", "cover": []})
             outcome: PackingCertificate | GfvsCertificate = GfvsCertificate((), True)
             break
@@ -375,8 +377,7 @@ def _expansion_branch(
         }
     )
 
-    a_graph = g.induced_subgraph(result.a)
-    if is_clean(a_graph) and result.order > 1:
+    if is_clean(g, result.a) and result.order > 1:
         free = _restrict_to_free_supernodes(eta, result.boundary)
         if free is not None:
             try:
@@ -414,10 +415,9 @@ def _separation_step(
 ) -> PackingCertificate | GfvsCertificate:
     """Recurse behind a separation whose near side minus the boundary is
     clean, then lift the sub-certificate."""
-    a_graph = g.induced_subgraph(sep.a)
     boundary = sep.boundary
-    if not is_clean(a_graph):
-        cycle = find_non_null_cycle(a_graph)
+    cycle = find_non_null_cycle(g, sep.a)
+    if cycle is not None:
         if k == 1:
             cert = PackingCertificate((cycle,), "half-integral")
             if not verify_packing(g, cert):

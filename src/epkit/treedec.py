@@ -425,9 +425,10 @@ def packing_or_cover_bounded_tw(
     relates without conflict the live subtree is clean. A map's vertices
     all lie in its node's set, so when that set holds no deleted vertex the
     map holds only live arcs and a conflict is a non-null closed walk in
-    the live subtree. Otherwise the conflict is confirmed by labeling the
-    live subtree, and on a false alarm only that node's map is rebuilt,
-    from its live subtree.
+    the live subtree. A conflict labels the live subtree once, which gives
+    the node's cycle; only a map that held a deleted vertex can raise a
+    false alarm, and then only that node's map is rebuilt, from its live
+    subtree.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -458,23 +459,22 @@ def packing_or_cover_bounded_tw(
             subtree &= live
             # a map over live vertices only holds live arcs, so its
             # conflict is real; one that held a deleted vertex may not be
-            if len(subtree) == before or not is_clean(g, subtree):
-                cycle = find_non_null_cycle(g.induced_subgraph(subtree))
-                if cycle is None:
-                    raise InternalInvariantError("potentials conflict on a clean subtree")
+            cycle = find_non_null_cycle(g, subtree)
+            if cycle is not None:
                 cycles.append(cycle)
                 cover |= bag
                 live -= subtree
                 if len(cycles) == k - 1:
                     break
                 continue
+            if len(subtree) == before:
+                raise InternalInvariantError("potentials conflict on a clean subtree")
             pots = PotentialMap(e)
             if not pots.relate_induced(g, subtree):
                 raise InternalInvariantError("clean subtree has no potentials")
         pending[node] = (subtree, pots, td.bags[node])
 
-    current = g.induced_subgraph(live)
-    if is_clean(current):
+    if is_clean(g, live):
         cert = GfvsCertificate(tuple(sorted(cover)), True)
         if len(cover) > (k - 1) * (w + 1):
             raise InternalInvariantError(
@@ -485,7 +485,7 @@ def packing_or_cover_bounded_tw(
         return cert
     if len(cycles) != k - 1:
         raise InternalInvariantError("graph is not clean but every subtree is")
-    cycles.append(find_non_null_cycle(current))
+    cycles.append(find_non_null_cycle(g, live))
     cert = PackingCertificate(tuple(cycles), "integral")
     if not verify_packing(g, cert):
         raise InternalInvariantError("constructed packing fails verification")

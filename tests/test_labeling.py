@@ -8,6 +8,8 @@ drifts.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.errors import InputError
 from epkit.graph import (
@@ -106,20 +108,36 @@ class TestCleanDecision:
 
 
 class TestCleanSubset:
-    """is_clean(g, s) walks g's incidence lists inside s; it must agree with
-    building the induced subgraph and testing that."""
+    """The search over a vertex set s walks g's incidence lists inside s;
+    every read of it must give what the same read gives on the induced
+    subgraph: the verdict, the witness walk, and the labeling with its
+    BFS order."""
 
     def check(self, g, s):
-        assert is_clean(g, s) == is_clean(g.induced_subgraph(s)), sorted(s)
+        sub = g.induced_subgraph(s)
+        assert is_clean(g, s) == is_clean(sub), sorted(s)
+        assert find_non_null_cycle(g, s) == find_non_null_cycle(sub), sorted(s)
+        got = find_consistent_labeling(g, s).labeling
+        want = find_consistent_labeling(sub).labeling
+        assert got == want, sorted(s)
+        if got is not None:
+            assert list(got) == list(want), sorted(s)
 
     def test_matches_induced_subgraph_on_randoms(self):
-        # random arcs include loops and parallel arcs
-        for seed in range(60):
+        # random arcs include loops and parallel arcs; s comes in any order,
+        # and the denser graphs give witnesses to compare
+        witnesses = 0
+        for seed in range(120):
             spec = SPECS[seed % len(SPECS)]
-            g = random_graph(seed + 400, 8, 8 + seed % 9, spec)
+            g = random_graph(seed + 400, 8, 8 + seed % 13, spec)
+            assert find_consistent_labeling(g, g.vertices) == find_consistent_labeling(g)
             rng = random.Random(seed)
             for _ in range(6):
-                self.check(g, {v for v in g.vertices if rng.random() < 0.6})
+                s = [v for v in g.vertices if rng.random() < 0.7]
+                rng.shuffle(s)
+                self.check(g, s)
+                witnesses += find_non_null_cycle(g, s) is not None
+        assert witnesses > 200
 
     def test_non_identity_loop(self):
         g = build_graph(Cyclic(3), 3, [(0, 1, 0), (1, 2, 0), (2, 2, 1)])
@@ -154,6 +172,8 @@ class TestCleanSubset:
         g = build_graph(Cyclic(2), 2, [(0, 1, 1)])
         with pytest.raises(InputError, match="not in graph"):
             is_clean(g, {0, 5})
+        with pytest.raises(InputError, match="not in graph"):
+            find_non_null_cycle(g, [5])
 
 
 def holds_potentials(pots, g, arcs):
@@ -330,6 +350,28 @@ class TestGfvsCheck:
                 set(walk_vertices(g, w)) & set(subset) for w in cycles
             )
             assert verify_gfvs(g, subset).verified == expected
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_cycles_left_after_deletion(self, data):
+        # the check labels V - X in place; deleting X and enumerating every
+        # cycle of what is left is its definition
+        spec = data.draw(st.sampled_from(SPECS))
+        n = data.draw(st.integers(1, 8))
+        arcs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.sampled_from(list(elements(spec))),
+                ),
+                max_size=2 * n,
+            )
+        )
+        g = build_graph(spec, n, arcs)
+        x = data.draw(st.sets(st.integers(0, n - 1)))
+        left = enumerate_non_null_cycles(g.delete_vertices(x))
+        assert verify_gfvs(g, x).verified == (not left)
 
 
 class TestBlockRichness:

@@ -206,6 +206,18 @@ class TestStripNullArcs:
             assert [a.id for a in got.arcs] == [a.id for a in want.arcs], trial
             assert got.vertices == want.vertices == g.vertices, trial
 
+    def test_stripped_graph_is_clean_exactly_when_arcless(self):
+        # every arc the strip keeps lies on a non-null cycle, which the
+        # driver relies on in place of a clean check after each strip
+        rng = random.Random(20261019)
+        groups = [Cyclic(2), Cyclic(3), Cyclic(6), Symmetric(3)]
+        arcless = 0
+        for trial in range(1000):
+            stripped = strip_null_arcs(random_strip_instance(rng, groups[trial % 4]))
+            assert is_clean(stripped) == (not stripped.arcs), trial
+            arcless += not stripped.arcs
+        assert 0 < arcless < 1000
+
 
 class TestThresholdArithmetic:
     def test_monotone(self):

@@ -661,15 +661,15 @@ class TestSweepMatchesRounds:
         vertices; the sweep then finds the live subtree clean and rebuilds
         that node's map. These seeds reach that path."""
         false_alarms = 0
-        real = epkit.treedec.is_clean
+        real = epkit.treedec.find_non_null_cycle
 
         def spy(g, s=None):
             nonlocal false_alarms
-            verdict = real(g, s)
-            false_alarms += s is not None and verdict
-            return verdict
+            cycle = real(g, s)
+            false_alarms += s is not None and cycle is None
+            return cycle
 
-        monkeypatch.setattr(epkit.treedec, "is_clean", spy)
+        monkeypatch.setattr(epkit.treedec, "find_non_null_cycle", spy)
         for seed in range(240):
             n = 5 + seed % 20
             g = random_labeled(seed, n, n + seed % 11, self.SPECS[seed % 4])
@@ -716,10 +716,10 @@ class TestScale:
         calls = 0
         real = epkit.labeling.find_consistent_labeling
 
-        def counted(g):
+        def counted(g, s=None):
             nonlocal calls
             calls += 1
-            return real(g)
+            return real(g, s)
 
         monkeypatch.setattr(epkit.labeling, "find_consistent_labeling", counted)
         g = odd_cycles(300, 3)
