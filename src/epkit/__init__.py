@@ -11,6 +11,7 @@ from .cuts import (
     ImportantSeparator,
     enumerate_important_separators,
     find_irrelevant_vertex,
+    max_disjoint_paths,
     tw_reduction_set,
 )
 from .errors import (
@@ -79,6 +80,7 @@ __all__ = [
     "is_clean",
     "load_graph",
     "make_element",
+    "max_disjoint_paths",
     "max_packing",
     "min_gfvs",
     "non_null_s_paths_or_hitting_set",

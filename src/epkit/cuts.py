@@ -275,19 +275,26 @@ class WellLinkedWitness:
 
 
 def verify_well_linked(g: LabeledGraph, z: Iterable[int], p: int) -> WellLinkedWitness:
-    """Flow-check every pair of equal-size subsets of Z up to size p."""
+    """Flow-check every pair of equal-size subsets of Z up to size p.
+
+    Disjoint A-B paths read backwards are B-A paths, so each unordered pair
+    gets one flow, and A links to itself by zero-length paths. The failure
+    reported is the first failing ordered pair (A, B) in combination order;
+    its reverse comes later, so it is found with A first.
+    """
     z_set = frozenset(z)
     for v in z_set:
         if not g.has_vertex(v):
             raise InputError(f"no vertex {v}")
+    adj = g.simple_adjacency()
     cap = min(p, len(z_set))
     for size in range(1, cap + 1):
-        for a in itertools.combinations(sorted(z_set), size):
-            for b in itertools.combinations(sorted(z_set), size):
-                if max_disjoint_paths(g, a, b) < size:
-                    return WellLinkedWitness(
-                        z_set, p, False, (frozenset(a), frozenset(b))
-                    )
+        subsets = [frozenset(c) for c in itertools.combinations(sorted(z_set), size)]
+        for i, a in enumerate(subsets):
+            for b in subsets[i + 1:]:
+                flow = _max_vertex_flow(adj, a, b, frozenset(), endpoint_capacity=True)
+                if flow.value < size:
+                    return WellLinkedWitness(z_set, p, False, (a, b))
     return WellLinkedWitness(z_set, p, True)
 
 
@@ -473,11 +480,16 @@ def find_irrelevant_vertex(
     # deleting boundary vertices can degrade Z's linkage, so the inner calls
     # skip the entry validation; the premises were checked once above
     marked: set[int] = set()
+    adj_a = g_a.simple_adjacency()
     x_sorted = sorted(boundary)
     for keep_size in range(2, len(x_sorted) + 1):
         for kept in itertools.combinations(x_sorted, keep_size):
             dropped = frozenset(x_sorted) - frozenset(kept)
-            sub_adj = g_a.delete_vertices(dropped).simple_adjacency()
+            sub_adj = {
+                v: tuple(w for w in ns if w not in dropped)
+                for v, ns in adj_a.items()
+                if v not in dropped
+            }
             marked |= _marking_set(sub_adj, keep_size, frozenset(kept), z_set)
     eligible = sorted(z_set - marked)
     if not eligible:

@@ -8,9 +8,17 @@ bound. Small graphs only; the heuristic path has no size cap.
 
 The min-fill order (Bodlaender & Koster, Treewidth computations I: upper
 bounds, 2010) eliminates a vertex of least fill-in at each step, ties going
-to the lowest vertex id. A lazy heap of (fill, vertex) entries finds it;
-after an elimination only the fill of the eliminated vertex's neighbours and
-their neighbours can change, so only those are recomputed and pushed again.
+to the lowest vertex id. It keeps, for every vertex v, the number tri(v) of
+edges inside N(v), so fill(v) = C(deg v, 2) - tri(v); the initial counts
+take one N(u) & N(v) per edge. Eliminating v first adds each missing edge ab
+inside N(v): one N(a) & N(b) gives the common neighbours, and a, b gain that
+many edges inside their neighbourhoods while each common neighbour gains ab.
+Then v goes, and each of its neighbours loses the deg(v) - 1 edges from v to
+the now complete N(v). A lazy heap of (fill, vertex) entries gets a new entry
+only for a vertex whose fill changed. The counts are exact, so the popped
+(fill, lowest id) minimum, and with it the order, is the one a full rescan
+would choose. The pass records each vertex's neighbourhood as it is
+eliminated, and those records are the bags of the decomposition.
 
 Validation is linear in the size of the decomposition plus the graph: the
 tree shape is checked by one walk down from the root, arcs by intersecting
@@ -205,55 +213,80 @@ def _live_neighbors(adj: dict[int, set[int]], eliminated: frozenset[int], v: int
     return out
 
 
-def _elimination_width(adj: dict[int, set[int]], order: list[int]) -> int:
-    width = 0
-    eliminated: set[int] = set()
-    for v in order:
-        width = max(width, len(_live_neighbors(adj, frozenset(eliminated), v)))
-        eliminated.add(v)
-    return width
-
-
-def _fill(work: dict[int, set[int]], v: int) -> int:
-    """Non-adjacent pairs among v's neighbours."""
-    ns = work[v]
-    d = len(ns) - 1
-    return sum(d - len(ns & work[u]) for u in ns) // 2
-
-
-def _eliminate(work: dict[int, set[int]], v: int) -> set[int]:
-    """Remove v and make its neighbourhood a clique; returns the neighbours."""
-    ns = work.pop(v)
-    for u in ns:
-        nu = work[u]
-        nu.discard(v)
-        nu |= ns
-        nu.discard(u)
-    return ns
-
-
-def _min_fill_order(adj: dict[int, set[int]]) -> list[int]:
+def _min_fill_order(adj: dict[int, set[int]]) -> list[tuple[int, set[int]]]:
+    """The min-fill elimination: each vertex in order with its neighbourhood
+    in the filled graph at the moment it is eliminated."""
     work = {v: set(ns) for v, ns in adj.items()}
-    fill = {v: _fill(work, v) for v in work}
+    tri = dict.fromkeys(work, 0)  # edges inside N(v)
+    for u, nu in work.items():
+        for v in nu:
+            if u < v:
+                common = len(nu & work[v])
+                tri[u] += common
+                tri[v] += common
+    fill = {}
+    for v, ns in work.items():
+        tri[v] //= 2  # each edge was counted from both of its ends
+        fill[v] = len(ns) * (len(ns) - 1) // 2 - tri[v]
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
-    order: list[int] = []
+    elimination: list[tuple[int, set[int]]] = []
     while heap:
         f, v = heapq.heappop(heap)
         if v not in work or fill[v] != f:
             continue  # stale entry
-        ns = _eliminate(work, v)
+        ns = work.pop(v)
         del fill[v]
-        order.append(v)
+        elimination.append((v, ns))
         touched = set(ns)
+        missing = f  # fill edges still to add inside N(v)
+        for a in ns:
+            if not missing:
+                break
+            na = work[a]
+            for b in ns - na:
+                if b == a:
+                    continue
+                nb = work[b]
+                common = na & nb  # v among them; its count is never read
+                tri[a] += len(common)
+                tri[b] += len(common)
+                for w in common:
+                    tri[w] += 1
+                touched |= common
+                na.add(b)
+                nb.add(a)
+                missing -= 1
+        touched.discard(v)
+        # N(v) is a clique now: each neighbour loses the deg(v) - 1 edges
+        # from v to the rest of N(v)
+        lost = len(ns) - 1
         for u in ns:
-            touched |= work[u]
+            work[u].discard(v)
+            tri[u] -= lost
         for u in touched:
-            new = _fill(work, u)
+            d = len(work[u])
+            new = d * (d - 1) // 2 - tri[u]
             if new != fill[u]:
                 fill[u] = new
                 heapq.heappush(heap, (new, u))
-    return order
+    return elimination
+
+
+def _elimination(adj: dict[int, set[int]], order: list[int]) -> list[tuple[int, set[int]]]:
+    """Eliminate order from a copy of adj, each vertex with its neighbourhood
+    at that moment, as `_min_fill_order` records them."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    elimination: list[tuple[int, set[int]]] = []
+    for v in order:
+        ns = work.pop(v)
+        for u in ns:
+            nu = work[u]
+            nu.discard(v)
+            nu |= ns
+            nu.discard(u)
+        elimination.append((v, ns))
+    return elimination
 
 
 def _mmd_lower_bound(adj: dict[int, set[int]]) -> int:
@@ -301,30 +334,25 @@ def _feasible_order(adj: dict[int, set[int]], w: int) -> Optional[list[int]]:
     return search(frozenset(), [])
 
 
-def _decomposition_from_order(
-    adj: dict[int, set[int]], order: list[int]
-) -> TreeDecomposition:
-    if not order:
+def _decomposition(elimination: list[tuple[int, set[int]]]) -> TreeDecomposition:
+    """Node i holds the i-th eliminated vertex with its neighbourhood; its
+    parent is the node of the first of those neighbours eliminated after it."""
+    if not elimination:
         return TreeDecomposition((0,), {0: None}, {0: frozenset()})
-    position = {v: i for i, v in enumerate(order)}
+    position = {v: i for i, (v, _) in enumerate(elimination)}
+    last = len(elimination) - 1
     bags: dict[int, frozenset[int]] = {}
-    later_neighbor: dict[int, Optional[int]] = {}
-    work = {v: set(ns) for v, ns in adj.items()}
-    for idx, v in enumerate(order):
-        ns = _eliminate(work, v)
-        bags[idx] = frozenset(ns | {v})
-        later_neighbor[idx] = min(position[u] for u in ns) if ns else None
     parent: dict[int, Optional[int]] = {}
-    for idx in range(len(order)):
-        nxt = later_neighbor[idx]
-        if nxt is not None:
-            parent[idx] = nxt
-        elif idx + 1 < len(order):
+    for idx, (v, ns) in enumerate(elimination):
+        bags[idx] = frozenset(ns | {v})
+        if ns:
+            parent[idx] = min(position[u] for u in ns)
+        elif idx < last:
             # component exhausted; chain onto the next node to keep one tree
             parent[idx] = idx + 1
         else:
             parent[idx] = None
-    return TreeDecomposition(tuple(range(len(order))), parent, bags)
+    return TreeDecomposition(tuple(range(len(elimination))), parent, bags)
 
 
 def tree_decomposition(g: LabeledGraph, mode: str = "exact") -> TreeDecomposition:
@@ -334,21 +362,18 @@ def tree_decomposition(g: LabeledGraph, mode: str = "exact") -> TreeDecompositio
         raise InputError(f"unknown decomposition mode {mode!r}")
     adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
     if mode == "heuristic":
-        return _decomposition_from_order(adj, _min_fill_order(adj))
+        return _decomposition(_min_fill_order(adj))
     if g.n > EXACT_VERTEX_CAP:
         raise GuardExceeded(
             f"exact treewidth capped at {EXACT_VERTEX_CAP} vertices, got {g.n}"
         )
-    if g.n == 0:
-        return _decomposition_from_order(adj, [])
-    upper_order = _min_fill_order(adj)
-    upper = _elimination_width(adj, upper_order)
-    lower = _mmd_lower_bound(adj)
-    for w in range(lower, upper):
+    upper_elimination = _min_fill_order(adj)
+    upper = max((len(ns) for _, ns in upper_elimination), default=0)
+    for w in range(_mmd_lower_bound(adj), upper):
         order = _feasible_order(adj, w)
         if order is not None:
-            return _decomposition_from_order(adj, order)
-    return _decomposition_from_order(adj, upper_order)
+            return _decomposition(_elimination(adj, order))
+    return _decomposition(upper_elimination)
 
 
 def treewidth_exact(g: LabeledGraph) -> int:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import epkit.cuts
 from epkit.cuts import (
     enumerate_important_separators,
     find_irrelevant_vertex,
@@ -334,6 +335,30 @@ class TestWellLinked:
             )
             assert w.linked == expected, seed
 
+    def test_matches_all_ordered_pairs(self):
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(5, 10)
+            g = random_plain(6000 + seed, n, rng.uniform(0.2, 0.8))
+            z = set(rng.sample(list(g.vertices), rng.randint(2, n)))
+            p = rng.randint(1, 3)
+            w = verify_well_linked(g, z, p)
+            assert (w.linked, w.failure) == all_ordered_pairs_well_linked(g, z, p), seed
+            outcomes.add(w.linked)
+        assert outcomes == {True, False}
+
+
+def all_ordered_pairs_well_linked(g, z, p):
+    """The definition: a flow for every ordered pair of equal-size subsets,
+    stopping at the first pair that lacks a linkage."""
+    for size in range(1, min(p, len(z)) + 1):
+        for a in itertools.combinations(sorted(z), size):
+            for b in itertools.combinations(sorted(z), size):
+                if max_disjoint_paths(g, a, b) < size:
+                    return False, (frozenset(a), frozenset(b))
+    return True, None
+
 
 def dense_linked_instance(seed, t, n_range=(8, 12)):
     """Random dense graph with terminals and a Z that passes the reduction
@@ -476,6 +501,32 @@ class TestFindIrrelevantVertex:
         sep = Separation(frozenset(range(7)), frozenset({0, 1, 7}))
         with pytest.raises(InputError, match="not well-linked"):
             find_irrelevant_vertex(g, sep, frozenset(range(2, 7)), 2, 1)
+
+    def test_marking_reads_a_side_minus_dropped_boundary(self, monkeypatch):
+        # boundary {0, 1, 2}: every kept subset of two or three is marked on
+        # the A side with the rest of the boundary deleted
+        arcs = [(u, v, 0) for u in range(10) for v in range(u + 1, 10)]
+        arcs += [(0, 10, 0), (1, 10, 0), (2, 10, 0), (10, 10, 1)]
+        g = build_graph(Z2, 11, arcs)
+        sep = Separation(frozenset(range(10)), frozenset({0, 1, 2, 10}))
+        z = frozenset(range(3, 10))
+        calls = []
+        real = epkit.cuts._marking_set
+
+        def spy(adj, t, kept, z_set):
+            marked = real(adj, t, kept, z_set)
+            calls.append((adj, kept, marked))
+            return marked
+
+        monkeypatch.setattr(epkit.cuts, "_marking_set", spy)
+        v = find_irrelevant_vertex(g, sep, z, 3, 1)
+        g_a = g.induced_subgraph(sep.a)
+        for adj, kept, marked in calls:
+            want = g_a.delete_vertices(sep.boundary - kept).simple_adjacency()
+            assert adj == want and list(adj) == list(want)
+            assert marked == real(want, len(kept), kept, z)
+        assert [sorted(kept) for _, kept, _ in calls] == [[0, 1], [0, 2], [1, 2], [0, 1, 2]]
+        assert v == min(z - frozenset().union(*(m for _, _, m in calls)))
 
     def test_deterministic(self):
         g, sep, z = clean_side_instance()
