@@ -68,6 +68,10 @@ def _max_vertex_flow(
     for y in sorted(sinks):
         add_arc(("out", y) if endpoint_capacity else ("in", y), _SINK, big)
 
+    # augmenting changes capacities, never the keys, so each node's
+    # successors are sorted once per network
+    successors = {node: sorted(out) for node, out in cap.items()}
+
     def bfs_augment() -> int:
         parent: dict[tuple, tuple] = {_SOURCE: _SOURCE}
         queue = [_SOURCE]
@@ -75,7 +79,7 @@ def _max_vertex_flow(
         while head < len(queue):
             node = queue[head]
             head += 1
-            for nxt in sorted(cap[node]):
+            for nxt in successors[node]:
                 if nxt not in parent and cap[node][nxt] > 0:
                     parent[nxt] = node
                     if nxt == _SINK:

@@ -239,22 +239,24 @@ def is_non_null_cycle(g: LabeledGraph, walk: Walk) -> bool:
 
 def canonical_cycle(g: LabeledGraph, walk: Walk) -> tuple:
     """Canonical form of a simple cycle, invariant under rotation and
-    reversal: the lexicographically least (vertex, arc id) pair sequence."""
+    reversal: the lexicographically least (vertex, arc id) pair sequence
+    over the 2L rotations of both traversal directions.
+
+    The vertices of a simple cycle are distinct, so every least candidate
+    starts at the least vertex m, which each direction passes exactly once.
+    Only the two rotations that start at m are built: the walk's own order
+    read from m, and the reverse order read from m, in which each vertex
+    pairs with the arc that entered it. The smaller of the two is the
+    answer, in O(L)."""
     if not is_cycle(g, walk):
         raise InputError("not a simple cycle")
     seq = walk_vertices(g, walk)[:-1]
     arcs = [s[0] for s in walk.steps]
-    L = len(arcs)
-    candidates = []
-    for r in range(L):
-        candidates.append(tuple((seq[(r + i) % L], arcs[(r + i) % L]) for i in range(L)))
-    rev_seq = [seq[0]] + [seq[L - i] for i in range(1, L)]
-    rev_arcs = [arcs[L - 1 - i] for i in range(L)]
-    for r in range(L):
-        candidates.append(
-            tuple((rev_seq[(r + i) % L], rev_arcs[(r + i) % L]) for i in range(L))
-        )
-    return min(candidates)
+    r = seq.index(min(seq))
+    forward = tuple(zip(seq[r:] + seq[:r], arcs[r:] + arcs[:r]))
+    # seq[r], seq[r-1], ..., seq[r+1] with arcs[r-1], arcs[r-2], ..., arcs[r]
+    backward = tuple(zip(seq[r::-1] + seq[:r:-1], arcs[r - 1::-1] + arcs[:r - 1:-1]))
+    return min(forward, backward)
 
 
 # Separations ----------------------------------------------------------------

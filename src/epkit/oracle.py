@@ -77,30 +77,37 @@ def simple_paths(
                 closed.discard(w)
         return False
 
-    return extend(start, ())
+    found = extend(start, ())
+    # `extend` calls itself through its closure, a reference cycle; deleting
+    # the name frees the search state now, not at the next cyclic collection
+    del extend
+    return found
 
 
 def enumerate_cycles(
     g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS
 ) -> list[Walk]:
-    """All simple cycles, one representative each, deterministic order.
+    """All simple cycles, one representative each, in canonical order.
 
     Paths from each start vertex s back to s, only visiting vertices > s in
-    between, so every cycle is found exactly at its minimum vertex.
-    Canonical forms dedupe the two traversal directions and parallel-arc
-    choices.
+    between, so every cycle is found exactly at its minimum vertex: once in
+    each traversal direction, or once if it is a loop. A simple cycle is
+    fixed by its arc set (its arcs form one closed trail through distinct
+    vertices, and two parallel arcs or one loop form a single cycle), so the
+    set of arc ids dedupes the two directions while the first walk found
+    is kept. Each kept cycle gets its canonical form once, as its sort key.
     """
     _check_size(g, guards)
-    seen: set[tuple] = set()
-    out: list[Walk] = []
+    seen: set[frozenset[int]] = set()
+    keyed: list[tuple[tuple, Walk]] = []
 
     def record(walk: Walk) -> None:
-        canon = canonical_cycle(g, walk)
-        if canon in seen:
+        arc_set = frozenset(arc_id for arc_id, _ in walk.steps)
+        if arc_set in seen:
             return
-        seen.add(canon)
-        out.append(walk)
-        if len(out) > guards.max_cycles:
+        seen.add(arc_set)
+        keyed.append((canonical_cycle(g, walk), walk))
+        if len(keyed) > guards.max_cycles:
             raise GuardExceeded(f"more than {guards.max_cycles} cycles")
 
     def close(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
@@ -118,13 +125,16 @@ def enumerate_cycles(
         simple_paths(g, s, {s}, below, close)
         below.append(s)
 
-    out.sort(key=lambda wlk: canonical_cycle(g, wlk))
-    return out
+    # canonical forms are distinct, so the walks never decide the order
+    keyed.sort(key=lambda pair: pair[0])
+    return [walk for _, walk in keyed]
 
 
 def enumerate_non_null_cycles(
     g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS
 ) -> list[Walk]:
+    """The cycles of `enumerate_cycles` whose value is not the identity,
+    in the same order and with the same walks."""
     return [
         w for w in enumerate_cycles(g, guards) if not is_identity(walk_value(g, w))
     ]
@@ -155,11 +165,15 @@ def min_hitting_set(
                 return found
         return None
 
+    found = None
     for depth in range(cap + 1):
         found = hit(depth, frozenset())
         if found is not None:
-            return tuple(sorted(found))
-    return None
+            break
+    # `hit` calls itself through its closure, a reference cycle; deleting
+    # the name frees the search state now, not at the next cyclic collection
+    del hit
+    return None if found is None else tuple(sorted(found))
 
 
 def min_gfvs(
@@ -183,23 +197,34 @@ def max_packing(
     """A maximum collection of distinct non-null cycles with every vertex
     used at most `capacity` times. capacity=1 is the integral packing
     number, capacity=2 the half-integral one. `stop_at` returns early once
-    that many cycles fit."""
+    that many cycles fit.
+
+    The search takes the cycles by size, then canonical order, and keeps
+    the first largest collection it finds. Each cycle is a bitmask over
+    the positions of its vertices in `g.vertices`, stored in search order.
+    A saturation mask `full` holds the vertices whose usage has reached
+    `capacity`; it is an argument of the search, so a backtrack restores
+    it. A cycle fits exactly when `mask & full == 0`, so the bound that
+    counts the remaining cycles that still fit one at a time costs one AND
+    per cycle."""
     if capacity < 1:
         raise InputError("capacity must be at least 1")
     cycles = enumerate_non_null_cycles(g, guards)
     sets = _cycle_vertex_sets(g, cycles)
     order = sorted(range(len(cycles)), key=lambda i: (len(sets[i]), i))
+    position = {v: i for i, v in enumerate(g.vertices)}
+    bits = [[position[v] for v in sets[j]] for j in order]
+    masks = [sum(1 << b for b in cycle_bits) for cycle_bits in bits]
+    usage = [0] * len(position)
     best: list[int] = []
 
-    usage: dict[int, int] = {v: 0 for v in g.vertices}
-
-    def can_beat(idx: int, slack: int) -> bool:
+    def can_beat(idx: int, slack: int, full: int) -> bool:
         """Could at least `slack` + 1 more cycles still fit individually?"""
         if slack < 0:
             return True
         count = 0
-        for j in order[idx:]:
-            if all(usage[v] < capacity for v in sets[j]):
+        for mask in masks[idx:]:
+            if not mask & full:
                 count += 1
                 if count > slack:
                     return True
@@ -207,7 +232,7 @@ def max_packing(
 
     chosen: list[int] = []
 
-    def search(idx: int) -> bool:
+    def search(idx: int, full: int) -> bool:
         # skipping a cycle advances idx in place; recursion depth is the
         # number of chosen cycles, not the number of enumerated ones
         nonlocal best
@@ -218,21 +243,26 @@ def max_packing(
                 if len(chosen) > len(best):
                     best = list(chosen)
                 return stop_at is not None and len(best) >= stop_at
-            if not can_beat(idx, len(best) - len(chosen)):
+            if not can_beat(idx, len(best) - len(chosen), full):
                 return False
-            j = order[idx]
-            if all(usage[v] < capacity for v in sets[j]):
-                for v in sets[j]:
-                    usage[v] += 1
-                chosen.append(j)
-                if search(idx + 1):
+            if not masks[idx] & full:
+                grown = full
+                for b in bits[idx]:
+                    usage[b] += 1
+                    if usage[b] == capacity:
+                        grown |= 1 << b
+                chosen.append(order[idx])
+                if search(idx + 1, grown):
                     return True
                 chosen.pop()
-                for v in sets[j]:
-                    usage[v] -= 1
+                for b in bits[idx]:
+                    usage[b] -= 1
             idx += 1
 
-    search(0)
+    search(0, 0)
+    # `search` calls itself through its closure, a reference cycle; deleting
+    # the name frees the search state now, not at the next cyclic collection
+    del search
     return [cycles[j] for j in best]
 
 

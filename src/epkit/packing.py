@@ -305,6 +305,9 @@ def find_clique_expansion(g: LabeledGraph, ell: int) -> Optional[CliqueExpansion
 
     start = tuple(frozenset({v}) for v in g.vertices)
     chosen = search(start)
+    # `search` calls itself through its closure, a reference cycle; deleting
+    # the name frees the search state now, not at the next cyclic collection
+    del search
     if chosen is None:
         return None
     eta = _expansion_from_groups(g, chosen)
@@ -386,6 +389,9 @@ def _max_disjoint_indices(vertex_sets: list[frozenset[int]], stop_at: int) -> li
         return dfs(i + 1, chosen, used)
 
     dfs(0, [], frozenset())
+    # `dfs` calls itself through its closure, a reference cycle; deleting
+    # the name frees the search state now, not at the next cyclic collection
+    del dfs
     return best
 
 

@@ -331,7 +331,11 @@ def _feasible_order(adj: dict[int, set[int]], w: int) -> Optional[list[int]]:
 
     if n == 0:
         return []
-    return search(frozenset(), [])
+    order = search(frozenset(), [])
+    # `search` calls itself through its closure, a reference cycle; deleting
+    # the name frees the search state now, not at the next cyclic collection
+    del search
+    return order
 
 
 def _decomposition(elimination: list[tuple[int, set[int]]]) -> TreeDecomposition:

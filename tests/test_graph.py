@@ -24,7 +24,15 @@ from epkit.graph import (
     walk_value,
     walk_vertices,
 )
-from epkit.groups import Cyclic, Symmetric, is_identity, make_element, multiply
+from epkit.groups import (
+    Cyclic,
+    Symmetric,
+    elements,
+    is_identity,
+    make_element,
+    multiply,
+)
+from epkit.oracle import enumerate_cycles
 
 
 def z(n):
@@ -37,6 +45,56 @@ def cycle_from_canonical(g, canon):
     return Walk(tuple(
         (arc_id, FORWARD if g.arc(arc_id).tail == v else REVERSE) for v, arc_id in canon
     ))
+
+
+def reference_canonical_cycle(g, walk):
+    """canonical_cycle by its definition: the least (vertex, arc id) pair
+    sequence over all L rotations of both traversal directions."""
+    if not is_cycle(g, walk):
+        raise InputError("not a simple cycle")
+    seq = walk_vertices(g, walk)[:-1]
+    arcs = [s[0] for s in walk.steps]
+    L = len(arcs)
+    candidates = []
+    for r in range(L):
+        candidates.append(tuple((seq[(r + i) % L], arcs[(r + i) % L]) for i in range(L)))
+    rev_seq = [seq[0]] + [seq[L - i] for i in range(1, L)]
+    rev_arcs = [arcs[L - 1 - i] for i in range(L)]
+    for r in range(L):
+        candidates.append(
+            tuple((rev_seq[(r + i) % L], rev_arcs[(r + i) % L]) for i in range(L))
+        )
+    return min(candidates)
+
+
+def multigraph(seed):
+    """A graph on at most 9 vertices, with loops and parallel arcs."""
+    rng = random.Random(seed)
+    spec = (z(2), z(3), z(6), Symmetric(3))[seed % 4]
+    els = list(elements(spec))
+    n = rng.randint(2, 9)
+    arcs = []
+    for _ in range(rng.randint(n, 2 * n)):
+        roll = rng.random()
+        if roll < 0.1:
+            u = v = rng.randrange(n)
+        elif roll < 0.3 and arcs:
+            u, v, _ = rng.choice(arcs)
+            if rng.random() < 0.5:
+                u, v = v, u
+        else:
+            u, v = rng.randrange(n), rng.randrange(n)
+        arcs.append((u, v, rng.choice(els)))
+    return build_graph(spec, n, arcs)
+
+
+def presentations(walk):
+    """Every rotation of a closed walk, in both directions."""
+    steps = walk.steps
+    back = tuple((arc_id, REVERSE if d == FORWARD else FORWARD) for arc_id, d in reversed(steps))
+    for seq in (steps, back):
+        for r in range(len(seq)):
+            yield Walk(seq[r:] + seq[:r])
 
 
 def triangle_z3():
@@ -190,6 +248,31 @@ class TestCanonicalForm:
         g = triangle_z3()
         with pytest.raises(InputError):
             canonical_cycle(g, Walk(((0, FORWARD),)))
+
+    def test_matches_all_rotations_reference(self):
+        loops = digons = 0
+        for seed in range(200):
+            g = multigraph(seed)
+            for cycle in enumerate_cycles(g):
+                loops += len(cycle.steps) == 1
+                digons += len(cycle.steps) == 2
+                for walk in presentations(cycle):
+                    assert canonical_cycle(g, walk) == reference_canonical_cycle(g, walk), (
+                        seed, walk,
+                    )
+        assert loops > 20 and digons > 20
+
+    def test_rejects_what_the_reference_rejects(self):
+        g = build_graph(z(2), 3, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (0, 0, 1)])
+        for steps in (
+            ((0, FORWARD), (0, REVERSE)),
+            ((0, FORWARD), (1, FORWARD)),
+            ((3, FORWARD), (3, FORWARD)),
+            ((0, FORWARD), (1, FORWARD), (2, FORWARD), (3, FORWARD)),
+        ):
+            for check in (canonical_cycle, reference_canonical_cycle):
+                with pytest.raises(InputError):
+                    check(g, Walk(steps))
 
 
 class TestBlocks:

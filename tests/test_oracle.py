@@ -110,6 +110,28 @@ class TestCycleEnumeration:
             enumerate_cycles(g)
         enumerate_cycles(g, OracleGuards(max_vertices=15))
 
+    def test_one_canonical_form_per_cycle(self, monkeypatch):
+        # the arc set dedupes the two directions; only a kept cycle pays
+        # for its canonical form, which is also its sort key
+        import epkit.oracle
+
+        calls = [0]
+        real = epkit.oracle.canonical_cycle
+
+        def counted(g, walk):
+            calls[0] += 1
+            return real(g, walk)
+
+        monkeypatch.setattr(epkit.oracle, "canonical_cycle", counted)
+        total = 0
+        for seed in range(20):
+            g = random_graph(seed + 700, 6, 10, Cyclic(3))
+            calls[0] = 0
+            cycles = enumerate_cycles(g)
+            assert calls[0] == len(cycles), seed
+            total += len(cycles)
+        assert total > 100
+
     def test_cycle_count_guard(self):
         g = build_graph(Cyclic(2), 4, [(0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 0, 0)])
         with pytest.raises(GuardExceeded):

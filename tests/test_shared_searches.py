@@ -7,18 +7,25 @@ functions below are self-contained searches written for each
 caller. The package must reproduce them step for step, not merely as sets:
 S-path order feeds `_max_disjoint_indices`, and the first cycle direction
 found is the one a certificate prints.
+
+Cycle enumeration and the packing search have fast paths of their own: one
+canonical form per cycle, an arc-set dedupe and saturation bitmasks. Their
+references dedupe and sort by the all-rotations canonical form of
+`test_graph` and track vertex usage in a dict, as the definitions read.
 """
 
+import gc
 import random
 
 import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.graph import (
     FORWARD,
     REVERSE,
     Walk,
     build_graph,
-    canonical_cycle,
     reach,
     walk_value,
     walk_vertices,
@@ -29,12 +36,22 @@ from epkit.groups import (
     elements,
     is_identity,
 )
-from epkit.oracle import enumerate_cycles, min_gfvs, min_hitting_set, simple_paths
+from epkit.oracle import (
+    enumerate_cycles,
+    max_packing,
+    min_gfvs,
+    min_hitting_set,
+    simple_paths,
+)
+from epkit.generators import subdivided_clique
 from epkit.packing import (
     _max_disjoint_indices,
     enumerate_non_null_s_paths,
+    find_clique_expansion,
     non_null_s_paths_or_hitting_set,
 )
+from epkit.treedec import _feasible_order
+from test_graph import reference_canonical_cycle
 
 GROUPS = (Cyclic(2), Cyclic(3), Cyclic(6), Symmetric(3))
 
@@ -102,12 +119,62 @@ def reference_enumerate_cycles(g):
     out = []
     walks = [Walk(((a.id, FORWARD),)) for a in g.arcs if a.is_loop]
     for walk in walks + reference_cycle_closings(g):
-        canon = canonical_cycle(g, walk)
+        canon = reference_canonical_cycle(g, walk)
         if canon not in seen:
             seen.add(canon)
             out.append(walk)
-    out.sort(key=lambda wlk: canonical_cycle(g, wlk))
+    out.sort(key=lambda wlk: reference_canonical_cycle(g, wlk))
     return out
+
+
+def reference_max_packing(g, capacity, stop_at=None):
+    """The packing search over a usage dict: cycles by size, then canonical
+    order; a cycle fits while every vertex on it is below capacity."""
+    cycles = [
+        w for w in reference_enumerate_cycles(g) if not is_identity(walk_value(g, w))
+    ]
+    sets = [frozenset(walk_vertices(g, w)[:-1]) for w in cycles]
+    order = sorted(range(len(cycles)), key=lambda i: (len(sets[i]), i))
+    usage = {v: 0 for v in g.vertices}
+    best = []
+    chosen = []
+
+    def can_beat(idx, slack):
+        if slack < 0:
+            return True
+        count = 0
+        for j in order[idx:]:
+            if all(usage[v] < capacity for v in sets[j]):
+                count += 1
+                if count > slack:
+                    return True
+        return False
+
+    def search(idx):
+        nonlocal best
+        while True:
+            if stop_at is not None and len(best) >= stop_at:
+                return True
+            if idx == len(order):
+                if len(chosen) > len(best):
+                    best = list(chosen)
+                return stop_at is not None and len(best) >= stop_at
+            if not can_beat(idx, len(best) - len(chosen)):
+                return False
+            j = order[idx]
+            if all(usage[v] < capacity for v in sets[j]):
+                for v in sets[j]:
+                    usage[v] += 1
+                chosen.append(j)
+                if search(idx + 1):
+                    return True
+                chosen.pop()
+                for v in sets[j]:
+                    usage[v] -= 1
+            idx += 1
+
+    search(0)
+    return [cycles[j] for j in best]
 
 
 def reference_s_paths(g, s_set):
@@ -264,6 +331,113 @@ class TestMinHittingSet:
                     assert result.hitting_set == reference_min_hitting_set(
                         sets, 2 * k - 2
                     ), (seed, k)
+
+
+# One packing search -------------------------------------------------------------
+
+def packing_instance(seed):
+    """A graph on 6 to 10 vertices with 1.2 to 1.7 arcs per vertex, some
+    of them loops or parallel arcs."""
+    rng = random.Random(f"packing:{seed}")
+    spec = GROUPS[seed % len(GROUPS)]
+    els = list(elements(spec))
+    n = rng.randint(6, 10)
+    arcs = []
+    for _ in range(rng.randint(6 * n // 5, 17 * n // 10)):
+        roll = rng.random()
+        if roll < 0.05:
+            u = v = rng.randrange(n)
+        elif roll < 0.15 and arcs:
+            u, v, _ = rng.choice(arcs)
+        else:
+            u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.choice(els)))
+    return build_graph(spec, n, arcs)
+
+
+STOPS = (None, 1, 2, 3)
+
+
+class TestMaxPacking:
+    def test_matches_reference(self):
+        graphs = [instance(seed) for seed in SEEDS]
+        graphs += [packing_instance(seed) for seed in range(40)]
+        sizes = set()
+        for g in graphs:
+            for capacity in (1, 2, 3):
+                for stop_at in STOPS:
+                    got = max_packing(g, capacity, stop_at)
+                    assert got == reference_max_packing(g, capacity, stop_at), (
+                        g, capacity, stop_at,
+                    )
+                    sizes.add(len(got))
+        assert max(g.n for g in graphs) == 10
+        assert {g.group for g in graphs} == set(GROUPS)
+        assert max(sizes) >= 5
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_reference(self, data):
+        # the graph is a union of short closed walks, loops and digons
+        # included, so that its cycles overlap
+        spec = data.draw(st.sampled_from(GROUPS))
+        n = data.draw(st.integers(1, 7))
+        walks = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        labels = st.sampled_from(list(elements(spec)))
+        arcs = [
+            (u, walk[(i + 1) % len(walk)], data.draw(labels))
+            for walk in walks
+            for i, u in enumerate(walk)
+        ]
+        g = build_graph(spec, n, arcs)
+        assert enumerate_cycles(g) == reference_enumerate_cycles(g)
+        for capacity in (1, 2, 3):
+            for stop_at in STOPS:
+                assert max_packing(g, capacity, stop_at) == reference_max_packing(
+                    g, capacity, stop_at
+                ), (capacity, stop_at)
+
+
+# No search leaves a reference cycle ---------------------------------------------
+
+def cyclic_garbage(call):
+    """The objects a cyclic collection finds after `call` returns."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    # a recursive closure keeps everything it reaches alive until a cyclic
+    # collection: every cycle an enumeration found, every vertex set
+    def test_searches_free_their_state_on_return(self):
+        g = instance(7)
+        assert len(enumerate_cycles(g)) > 5
+        sets = [frozenset(walk_vertices(g, w)) for w in enumerate_cycles(g)]
+        clique, _ = subdivided_clique(4)
+        adj = {v: set(ns) for v, ns in clique.simple_adjacency().items()}
+        calls = {
+            "enumerate_cycles": lambda: enumerate_cycles(g),
+            "s_paths": lambda: enumerate_non_null_s_paths(g, frozenset(g.vertices)),
+            "min_gfvs": lambda: min_gfvs(g),
+            "max_packing": lambda: max_packing(g, 2),
+            "max_disjoint": lambda: _max_disjoint_indices(sets, len(sets)),
+            "clique_expansion": lambda: find_clique_expansion(clique, 4),
+            "feasible_order": lambda: _feasible_order(adj, 3),
+        }
+        assert {name: cyclic_garbage(call) for name, call in calls.items()} == {
+            name: 0 for name in calls
+        }
 
 
 # One reach routine -------------------------------------------------------------
