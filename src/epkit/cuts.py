@@ -22,57 +22,87 @@ Adjacency = dict[int, tuple[int, ...]]
 
 # Flow ------------------------------------------------------------------------
 
-class _FlowResult:
-    def __init__(self, value: int, sink_coreach: frozenset):
-        self.value = value
-        self.sink_coreach = sink_coreach
-
-
 _SOURCE = ("s", -1)
 _SINK = ("t", -1)
 
 
-def _max_vertex_flow(
-    adj: Adjacency,
-    sources: frozenset[int],
-    sinks: frozenset[int],
-    uncuttable: frozenset[int],
-    endpoint_capacity: bool,
-    limit: Optional[int] = None,
-) -> _FlowResult:
-    """Max set of vertex-disjoint source-sink paths.
+class _SplitNetwork:
+    """The split digraph of an adjacency for unit vertex capacities: v_in ->
+    v_out per vertex and u_out -> w_in per edge, plus a source and a sink.
 
     endpoint_capacity=False models separator problems: sources and sinks are
     uncuttable and a path enters at x_out / leaves at y_in, so min cuts avoid
     them. endpoint_capacity=True models linkages: every path consumes its
     endpoints (a vertex in both sets counts as a zero-length path).
 
-    limit stops augmenting once the value exceeds it; the value is then only
-    a lower bound and the coreach is left empty.
+    The arcs from the source to `sources` and from `sinks` to the sink are
+    built closed. A flow is three steps: `open` the terminals of one flow,
+    `augment` on it, and `restore` to put back every capacity those steps
+    changed, so one network serves many terminal pairs.
     """
-    big = len(adj) + 2
-    cap: dict[tuple, dict[tuple, int]] = {_SOURCE: {}, _SINK: {}}
 
-    def add_arc(a, b, c):
-        cap.setdefault(a, {})[b] = cap.setdefault(a, {}).get(b, 0) + c
-        cap.setdefault(b, {}).setdefault(a, 0)
+    def __init__(
+        self,
+        adj: Adjacency,
+        sources: Iterable[int],
+        sinks: Iterable[int],
+        uncuttable: frozenset[int],
+        endpoint_capacity: bool,
+    ):
+        self.big = big = len(adj) + 2
+        self.endpoint_capacity = endpoint_capacity
+        cap: dict[tuple, dict[tuple, int]] = {_SOURCE: {}, _SINK: {}}
 
-    for v in sorted(adj):
-        c = big if (v in uncuttable and not endpoint_capacity) else 1
-        add_arc(("in", v), ("out", v), c)
-    for v in sorted(adj):
-        for w in adj[v]:
-            add_arc(("out", v), ("in", w), big)
-    for x in sorted(sources):
-        add_arc(_SOURCE, ("in", x) if endpoint_capacity else ("out", x), big)
-    for y in sorted(sinks):
-        add_arc(("out", y) if endpoint_capacity else ("in", y), _SINK, big)
+        def add_arc(a, b, c):
+            cap.setdefault(a, {})[b] = cap.setdefault(a, {}).get(b, 0) + c
+            cap.setdefault(b, {}).setdefault(a, 0)
 
-    # augmenting changes capacities, never the keys, so each node's
-    # successors are sorted once per network
-    successors = {node: sorted(out) for node, out in cap.items()}
+        for v in sorted(adj):
+            c = big if (v in uncuttable and not endpoint_capacity) else 1
+            add_arc(("in", v), ("out", v), c)
+        for v in sorted(adj):
+            for w in adj[v]:
+                add_arc(("out", v), ("in", w), big)
+        for x in sorted(sources):
+            add_arc(_SOURCE, self._entry(x), 0)
+        for y in sorted(sinks):
+            add_arc(self._exit(y), _SINK, 0)
+        self.cap = cap
+        # augmenting changes capacities, never the keys, so each node's
+        # successors are sorted once per network
+        self.successors = {node: sorted(out) for node, out in cap.items()}
+        # each changed node's capacities as built, for `restore`
+        self.saved: dict[tuple, dict[tuple, int]] = {}
 
-    def bfs_augment() -> int:
+    def _entry(self, x: int) -> tuple:
+        return ("in", x) if self.endpoint_capacity else ("out", x)
+
+    def _exit(self, y: int) -> tuple:
+        return ("out", y) if self.endpoint_capacity else ("in", y)
+
+    def _save(self, node: tuple) -> None:
+        if node not in self.saved:
+            self.saved[node] = dict(self.cap[node])
+
+    def open(self, sources: Iterable[int], sinks: Iterable[int]) -> None:
+        """Open the source arcs of `sources` and the sink arcs of `sinks`,
+        which must be among the terminals the network was built with."""
+        self._save(_SOURCE)
+        for x in sources:
+            self.cap[_SOURCE][self._entry(x)] = self.big
+        for y in sinks:
+            node = self._exit(y)
+            self._save(node)
+            self.cap[node][_SINK] = self.big
+
+    def restore(self) -> None:
+        """Put back every capacity changed since the network was built or
+        last restored."""
+        self.cap.update(self.saved)
+        self.saved = {}
+
+    def _bfs_augment(self) -> int:
+        cap, successors = self.cap, self.successors
         parent: dict[tuple, tuple] = {_SOURCE: _SOURCE}
         queue = [_SOURCE]
         head = 0
@@ -83,7 +113,7 @@ def _max_vertex_flow(
                 if nxt not in parent and cap[node][nxt] > 0:
                     parent[nxt] = node
                     if nxt == _SINK:
-                        bottleneck = big
+                        bottleneck = self.big
                         walk = nxt
                         while walk != _SOURCE:
                             prev = parent[walk]
@@ -92,6 +122,8 @@ def _max_vertex_flow(
                         walk = nxt
                         while walk != _SOURCE:
                             prev = parent[walk]
+                            self._save(prev)
+                            self._save(walk)
                             cap[prev][walk] -= bottleneck
                             cap[walk][prev] += bottleneck
                             walk = prev
@@ -99,21 +131,24 @@ def _max_vertex_flow(
                     queue.append(nxt)
         return 0
 
-    value = 0
-    while True:
-        if limit is not None and value > limit:
-            break
-        pushed = bfs_augment()
-        if pushed == 0:
-            break
-        value += pushed
+    def augment(self, limit: Optional[int] = None) -> int:
+        """The value of a max flow from the open sources to the open sinks,
+        by shortest augmenting paths. `limit` stops once the value exceeds
+        it; the value is then only a lower bound."""
+        value = 0
+        while limit is None or value <= limit:
+            pushed = self._bfs_augment()
+            if pushed == 0:
+                break
+            value += pushed
+        return value
 
-    sink_coreach = frozenset()
-    if limit is None or value <= limit:
-        # nodes that can still reach the sink in the residual digraph
+    def sink_coreach(self) -> frozenset:
+        """The nodes that can still reach the sink in the residual digraph;
+        read after an `augment` that ran to a max flow."""
         rev: dict[tuple, list] = {}
-        for a in cap:
-            for b, c in cap[a].items():
+        for a in self.cap:
+            for b, c in self.cap[a].items():
                 if c > 0:
                     rev.setdefault(b, []).append(a)
         coreach = {_SINK}
@@ -124,8 +159,7 @@ def _max_vertex_flow(
                 if prev not in coreach:
                     coreach.add(prev)
                     stack.append(prev)
-        sink_coreach = frozenset(coreach)
-    return _FlowResult(value, sink_coreach)
+        return frozenset(coreach)
 
 
 def max_disjoint_paths(g: LabeledGraph, a: Iterable[int], b: Iterable[int]) -> int:
@@ -137,10 +171,11 @@ def max_disjoint_paths(g: LabeledGraph, a: Iterable[int], b: Iterable[int]) -> i
             raise InputError(f"no vertex {v}")
     if not a_set or not b_set:
         return 0
-    result = _max_vertex_flow(
+    net = _SplitNetwork(
         g.simple_adjacency(), a_set, b_set, frozenset(), endpoint_capacity=True
     )
-    return result.value
+    net.open(a_set, b_set)
+    return net.augment()
 
 
 # Important separators ---------------------------------------------------------
@@ -188,20 +223,23 @@ def _candidate_separators(
     flow-based branching on the reach-maximal minimum separator."""
     if _inseparable(adj, x, y):
         return set()
-    flow = _max_vertex_flow(adj, x, y, x | y, endpoint_capacity=False, limit=budget)
-    if flow.value > budget:
+    net = _SplitNetwork(adj, x, y, x | y, endpoint_capacity=False)
+    net.open(x, y)
+    value = net.augment(limit=budget)
+    if value > budget:
         return set()
-    if flow.value == 0:
+    if value == 0:
         return {frozenset()}
+    coreach = net.sink_coreach()
     s_max = frozenset(
         v
         for v in adj
         if v not in x
         and v not in y
-        and ("out", v) in flow.sink_coreach
-        and ("in", v) not in flow.sink_coreach
+        and ("out", v) in coreach
+        and ("in", v) not in coreach
     )
-    if len(s_max) != flow.value:
+    if len(s_max) != value:
         raise InternalInvariantError("min cut extraction does not match flow value")
     out = {s_max}
     v = min(s_max)
@@ -285,19 +323,26 @@ def verify_well_linked(g: LabeledGraph, z: Iterable[int], p: int) -> WellLinkedW
     gets one flow, and A links to itself by zero-length paths. The failure
     reported is the first failing ordered pair (A, B) in combination order;
     its reverse comes later, so it is found with A first.
+
+    One split network, wired to every vertex of Z, serves all the pairs: a
+    pair opens its own terminals, stops once |A| paths are found, and
+    restores the capacities for the next pair.
     """
     z_set = frozenset(z)
     for v in z_set:
         if not g.has_vertex(v):
             raise InputError(f"no vertex {v}")
-    adj = g.simple_adjacency()
-    cap = min(p, len(z_set))
-    for size in range(1, cap + 1):
+    net = _SplitNetwork(
+        g.simple_adjacency(), z_set, z_set, frozenset(), endpoint_capacity=True
+    )
+    for size in range(1, min(p, len(z_set)) + 1):
         subsets = [frozenset(c) for c in itertools.combinations(sorted(z_set), size)]
         for i, a in enumerate(subsets):
             for b in subsets[i + 1:]:
-                flow = _max_vertex_flow(adj, a, b, frozenset(), endpoint_capacity=True)
-                if flow.value < size:
+                net.open(a, b)
+                linked = net.augment(limit=size - 1) >= size
+                net.restore()
+                if not linked:
                     return WellLinkedWitness(z_set, p, False, (a, b))
     return WellLinkedWitness(z_set, p, True)
 

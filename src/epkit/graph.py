@@ -37,7 +37,7 @@ FORWARD = 1
 REVERSE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     id: int
     tail: int
@@ -168,7 +168,7 @@ def reach(
 
 # Walks ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Walk:
     """A traversal as (arc id, direction) steps. Empty walks are not allowed
     where a cycle is expected; a one-step walk on a loop arc is a cycle."""
@@ -261,7 +261,7 @@ def canonical_cycle(g: LabeledGraph, walk: Walk) -> tuple:
 
 # Separations ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Separation:
     a: frozenset[int]
     b: frozenset[int]
@@ -398,6 +398,8 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
         if len(arc_ids) != len(raw_arcs):
             raise InputError("arc_ids length differs from arcs length")
     arcs = []
+    # arcs with one label text share one element object
+    labels: dict[str, GroupElement] = {}
     for i, entry in enumerate(raw_arcs):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InputError(f"arc entry {i} must be [tail, head, label]")
@@ -408,8 +410,11 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
             raise InputError(f"arc entry {i} references an unknown vertex")
         if not isinstance(label_text, str):
             raise InputError(f"arc entry {i} label must be a string")
+        label = labels.get(label_text)
+        if label is None:
+            label = labels[label_text] = parse_element(group, label_text)
         arc_id = arc_ids[i] if arc_ids is not None else i
-        arcs.append(Arc(arc_id, tail, head, parse_element(group, label_text)))
+        arcs.append(Arc(arc_id, tail, head, label))
     return LabeledGraph(group, vertices, arcs)
 
 

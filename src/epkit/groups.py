@@ -22,17 +22,17 @@ from dataclasses import dataclass
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cyclic:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symmetric:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     parts: tuple["GroupSpec", ...]
 
@@ -74,7 +74,7 @@ def order(spec: GroupSpec) -> int:
     return prod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     spec: GroupSpec
     payload: object

@@ -85,30 +85,39 @@ def simple_paths(
 
 
 def enumerate_cycles(
-    g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS
+    g: LabeledGraph,
+    guards: OracleGuards = DEFAULT_GUARDS,
+    keep: Optional[Callable[[Walk], bool]] = None,
 ) -> list[Walk]:
-    """All simple cycles, one representative each, in canonical order.
+    """All simple cycles, one representative each, in canonical order;
+    with `keep`, only the cycles it accepts.
 
     Paths from each start vertex s back to s, only visiting vertices > s in
     between, so every cycle is found exactly at its minimum vertex: once in
     each traversal direction, or once if it is a loop. A simple cycle is
     fixed by its arc set (its arcs form one closed trail through distinct
-    vertices, and two parallel arcs or one loop form a single cycle), so the
-    set of arc ids dedupes the two directions while the first walk found
-    is kept. Each kept cycle gets its canonical form once, as its sort key.
+    vertices, and two parallel arcs or one loop form a single cycle), so a
+    bitmask over the arcs' positions in `g.arcs` dedupes the two directions
+    while the first walk found is kept. `guards.max_cycles` counts every
+    distinct cycle, kept or not; each kept cycle gets its canonical form
+    once, as its sort key.
     """
     _check_size(g, guards)
-    seen: set[frozenset[int]] = set()
+    bit = {arc.id: 1 << i for i, arc in enumerate(g.arcs)}
+    seen: set[int] = set()
     keyed: list[tuple[tuple, Walk]] = []
 
     def record(walk: Walk) -> None:
-        arc_set = frozenset(arc_id for arc_id, _ in walk.steps)
-        if arc_set in seen:
+        arc_mask = 0
+        for arc_id, _ in walk.steps:
+            arc_mask |= bit[arc_id]
+        if arc_mask in seen:
             return
-        seen.add(arc_set)
-        keyed.append((canonical_cycle(g, walk), walk))
-        if len(keyed) > guards.max_cycles:
+        seen.add(arc_mask)
+        if len(seen) > guards.max_cycles:
             raise GuardExceeded(f"more than {guards.max_cycles} cycles")
+        if keep is None or keep(walk):
+            keyed.append((canonical_cycle(g, walk), walk))
 
     def close(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
         # a walk out and back along one arc is not a cycle
@@ -135,9 +144,9 @@ def enumerate_non_null_cycles(
 ) -> list[Walk]:
     """The cycles of `enumerate_cycles` whose value is not the identity,
     in the same order and with the same walks."""
-    return [
-        w for w in enumerate_cycles(g, guards) if not is_identity(walk_value(g, w))
-    ]
+    return enumerate_cycles(
+        g, guards, keep=lambda w: not is_identity(walk_value(g, w))
+    )
 
 
 def _cycle_vertex_sets(g: LabeledGraph, cycles: list[Walk]) -> list[frozenset[int]]:

@@ -336,12 +336,18 @@ class SPathDualityResult:
 
 
 def enumerate_non_null_s_paths(
-    g: LabeledGraph, s: Iterable[int], guards: OracleGuards = DEFAULT_GUARDS
+    g: LabeledGraph,
+    s: Iterable[int],
+    guards: OracleGuards = DEFAULT_GUARDS,
+    stop_at: Optional[int] = None,
 ) -> list[Walk]:
     """Every non-null S-path once, traversed from its smaller endpoint.
 
     Paths are arc sequences: parallel arcs give distinct paths. Interior
     vertices stay outside S, so the family is finite and canonical.
+    `stop_at` ends the search once that many paths are found, which are
+    then the family's first ones in its order. The vertex guard still
+    applies; the path guard fires only if `stop_at` exceeds it.
     """
     s_set = frozenset(s)
     for v in s_set:
@@ -363,9 +369,10 @@ def enumerate_non_null_s_paths(
                         raise GuardExceeded(
                             f"more than {guards.max_cycles} non-null S-paths"
                         )
-            return False
+            return stop_at is not None and len(out) >= stop_at
 
-        simple_paths(g, start, s_set, (), record)
+        if simple_paths(g, start, s_set, (), record):
+            break
     return out
 
 
@@ -404,11 +411,19 @@ def non_null_s_paths_or_hitting_set(
     """Either k vertex-disjoint non-null S-paths or a hitting set of size
     at most 2k-2. The hitting set is an exact minimum; when fewer than k
     disjoint paths exist, a hitting set of at most twice the packing size
-    always does, so the depth cap cannot be the reason for missing one."""
+    always does, so the depth cap cannot be the reason for missing one.
+
+    At k = 1 the first non-null S-path fixes the answer (the empty hitting
+    set when there is none), so the search stops there and answers however
+    many paths the graph has. k >= 2 enumerates every path and raises
+    GuardExceeded past `guards.max_cycles` of them. Both raise it past
+    `guards.max_vertices` vertices."""
     if k < 1:
         raise InputError("k must be positive")
     s_set = frozenset(s)
-    paths = enumerate_non_null_s_paths(g, s_set, guards)
+    paths = enumerate_non_null_s_paths(
+        g, s_set, guards, stop_at=1 if k == 1 else None
+    )
     vertex_sets = [frozenset(walk_vertices(g, p)) for p in paths]
     chosen = _max_disjoint_indices(vertex_sets, k)
     if len(chosen) >= k:

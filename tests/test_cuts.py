@@ -347,6 +347,22 @@ class TestWellLinked:
             assert (w.linked, w.failure) == all_ordered_pairs_well_linked(g, z, p), seed
             outcomes.add(w.linked)
         assert outcomes == {True, False}
+        # the gated instance's shape: |Z| 7-8 at p = 3. One network serves
+        # every pair, so these seeds are the ones that flow hundreds of
+        # pairs before the answer: two are linked, and four fail only at
+        # size 3, past pair 300 of 1540 in combination order. A capacity
+        # left over from one pair changes a later pair's answer.
+        for seed, linked in ((0, True), (1, True), (8, False), (31, False),
+                             (137, False), (172, False)):
+            rng = random.Random(seed)
+            n = rng.randint(9, 12)
+            g = random_plain(9000 + seed, n, rng.uniform(0.4, 0.8))
+            z = set(rng.sample(list(g.vertices), rng.randint(7, 8)))
+            w = verify_well_linked(g, z, 3)
+            assert (w.linked, w.failure) == all_ordered_pairs_well_linked(g, z, 3), seed
+            assert w.linked == linked, seed
+            if not linked:
+                assert len(w.failure[0]) == 3, seed
 
 
 def all_ordered_pairs_well_linked(g, z, p):

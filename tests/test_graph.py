@@ -26,6 +26,7 @@ from epkit.graph import (
 )
 from epkit.groups import (
     Cyclic,
+    Product,
     Symmetric,
     elements,
     is_identity,
@@ -392,6 +393,26 @@ class TestJson:
         g = graph_from_json_dict(doc)
         assert g.n == 2 and g.m == 2
         assert g.arc(0).label.payload == 1
+
+    def test_one_element_per_label_text(self):
+        g = graph_from_json_dict({
+            "group": {"product": [{"cyclic": 2}, {"symmetric": 3}]},
+            "n": 3,
+            "arcs": [[0, 1, "[1; 2,3,1]"], [1, 2, "[0; 1,2,3]"],
+                     [2, 0, "[1; 2,3,1]"], [0, 2, "[0; 1,2,3]"]],
+        })
+        labels = [a.label for a in g.arcs]
+        assert labels[0] is labels[2] and labels[1] is labels[3]
+        assert labels[0] != labels[1]
+
+    def test_values_carry_no_instance_dict(self):
+        # a graph holds one Arc and one label per arc, and the oracle one
+        # Walk per cycle; slots keep each to its fields
+        g = build_graph(Product((z(2), Symmetric(3))), 2, [(0, 1, (1, (2, 1, 3)))])
+        values = [g.arcs[0], g.arcs[0].label, Walk(((0, FORWARD),)),
+                  z(2), Symmetric(3), g.group, Separation(frozenset(), frozenset())]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__
 
     def test_bad_documents(self):
         with pytest.raises(InputError):

@@ -111,8 +111,9 @@ class TestCycleEnumeration:
         enumerate_cycles(g, OracleGuards(max_vertices=15))
 
     def test_one_canonical_form_per_cycle(self, monkeypatch):
-        # the arc set dedupes the two directions; only a kept cycle pays
-        # for its canonical form, which is also its sort key
+        # the arc mask dedupes the two directions; only a kept cycle (any
+        # cycle, or a non-null one) pays for its canonical form, which is
+        # also its sort key
         import epkit.oracle
 
         calls = [0]
@@ -123,19 +124,34 @@ class TestCycleEnumeration:
             return real(g, walk)
 
         monkeypatch.setattr(epkit.oracle, "canonical_cycle", counted)
-        total = 0
+        total = dropped = 0
         for seed in range(20):
             g = random_graph(seed + 700, 6, 10, Cyclic(3))
             calls[0] = 0
             cycles = enumerate_cycles(g)
             assert calls[0] == len(cycles), seed
+            calls[0] = 0
+            non_null = enumerate_non_null_cycles(g)
+            assert calls[0] == len(non_null), seed
             total += len(cycles)
-        assert total > 100
+            dropped += len(cycles) - len(non_null)
+        assert total > 100 and dropped > 10
 
     def test_cycle_count_guard(self):
         g = build_graph(Cyclic(2), 4, [(0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 0, 0)])
         with pytest.raises(GuardExceeded):
             enumerate_cycles(g, OracleGuards(max_cycles=0))
+
+    def test_cycle_count_guard_counts_null_cycles(self):
+        # a square with one chord, all labels the identity: three cycles,
+        # none kept, and the guard still counts all three
+        g = build_graph(
+            Cyclic(2), 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0), (0, 2, 0)]
+        )
+        assert len(enumerate_cycles(g)) == 3
+        assert enumerate_non_null_cycles(g, OracleGuards(max_cycles=3)) == []
+        with pytest.raises(GuardExceeded):
+            enumerate_non_null_cycles(g, OracleGuards(max_cycles=2))
 
 
 class TestMinGfvs:

@@ -22,7 +22,12 @@ from epkit.graph import (
 )
 from epkit.groups import Cyclic, inverse, is_identity, multiply
 from epkit.labeling import is_clean
-from epkit.oracle import enumerate_non_null_cycles, ep_predicate, min_gfvs
+from epkit.oracle import (
+    OracleGuards,
+    enumerate_non_null_cycles,
+    ep_predicate,
+    min_gfvs,
+)
 from epkit.packing import (
     CliqueExpansion,
     SPathDualityResult,
@@ -438,6 +443,29 @@ class TestSPathDuality:
             assert oracle_max_disjoint(family) >= 2
         else:
             assert oracle_max_disjoint(family) < 2
+
+    def test_k1_answers_past_the_path_guard(self):
+        # K8 over Z3 with random labels: hundreds of non-null 0-1 paths. At
+        # k = 1 the first one fixes the answer, so the search stops there
+        # and the path guard never fires; k = 2 still needs every path.
+        rng = random.Random(11)
+        g = build_graph(
+            Z3, 8,
+            [(u, v, rng.randrange(3)) for u, v in itertools.combinations(range(8), 2)],
+        )
+        family = enumerate_non_null_s_paths(g, {0, 1})
+        tight = OracleGuards(max_cycles=10)
+        assert len(family) > 100
+        result = non_null_s_paths_or_hitting_set(g, {0, 1}, 1, tight)
+        assert result.paths == (family[0],)
+        assert enumerate_non_null_s_paths(g, {0, 1}, stop_at=3) == family[:3]
+        with pytest.raises(GuardExceeded):
+            non_null_s_paths_or_hitting_set(g, {0, 1}, 2, tight)
+
+    def test_vertex_guard_holds_at_k1(self):
+        g = plain(15, [(i, i + 1) for i in range(14)])
+        with pytest.raises(GuardExceeded):
+            non_null_s_paths_or_hitting_set(g, {0, 14}, 1)
 
     def test_unknown_s_vertex_rejected(self):
         with pytest.raises(InputError):
