@@ -21,7 +21,9 @@ class GuardExceeded(EpkitError):
 
 
 class UnimplementedBranch(EpkitError):
-    """The instance requires the wall branch, which this package does not ship."""
+    """A construction reached a case it does not implement; `solve` catches
+    the one raise (the clique branch's unsettled central block) and answers
+    by another branch."""
 
 
 class InternalInvariantError(EpkitError):

@@ -256,6 +256,9 @@ def find_clique_expansion(g: LabeledGraph, ell: int) -> Optional[CliqueExpansion
     an internal edge whose contraction preserves it, and an all-singleton
     model is a plain clique in the contracted graph. States are partitions
     into connected groups; failed states are memoized.
+
+    `solve` no longer calls this search: it uses an expansion only when the
+    caller supplies one, and this is one way to build that witness.
     """
     if ell < 1:
         raise InputError("expansion order must be positive")

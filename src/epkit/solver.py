@@ -1,12 +1,15 @@
 """The packing-or-cover driver.
 
-Control flow per level: strip arcs that lie on no non-null cycle; if the
-treewidth is within the threshold, run the decomposition branch;
-otherwise look for a clique expansion and run the expansion branch, which
-yields a packing, an irrelevant vertex to delete, or a separation to
-recurse behind. Anything past that is the wall case, which this package
-does not implement: the driver either fails honestly or, when enabled,
-substitutes the exhaustive oracle and marks the trail.
+Control flow per level: strip arcs that lie on no non-null cycle, then
+take a tree decomposition and measure its width. Above the threshold, a
+supplied clique-expansion witness runs the expansion branch, which yields
+a packing, an irrelevant vertex to delete, or a separation to recurse
+behind. Every other level goes to the bounded-treewidth dynamic program
+at whatever width it has: it returns k disjoint non-null cycles or a
+cover of at most (k-1)(w+1) vertices, so the threshold only decides which
+branch runs. When enabled, the exhaustive oracle stands in for that
+program above the threshold at k >= 2, and for the clique branch where
+it cannot settle its central block; the trail marks both.
 
 Cover certificates are re-verified at every lift. When a vertex deleted as
 irrelevant turns out to be needed by the cover (the equivalence guarantee
@@ -30,14 +33,11 @@ from .labeling import (
 )
 from .oracle import DEFAULT_GUARDS, OracleGuards, max_packing, min_gfvs
 from .packing import (
-    EXPANSION_ORDER_CAP,
     CliqueExpansion,
     _restrict_expansion,
     clique_branch_irrelevant,
     clique_branch_separation,
-    find_clique_expansion,
     rho_threshold,
-    small_mode_floor,
     verify_expansion,
 )
 from .treedec import (
@@ -159,8 +159,9 @@ def strip_null_arcs(g: LabeledGraph) -> LabeledGraph:
 
 
 def _oracle_fallback(
-    g: LabeledGraph, k: int, guards: OracleGuards
+    g: LabeledGraph, k: int, reason: str, guards: OracleGuards, trail: list[dict]
 ) -> PackingCertificate | GfvsCertificate:
+    trail.append({"step": "oracle-fallback", "fallback": True, "reason": reason})
     cycles = max_packing(g, capacity=2, stop_at=k, guards=guards)
     if len(cycles) >= k:
         cert = PackingCertificate(tuple(cycles[:k]), "half-integral")
@@ -177,12 +178,6 @@ def _restrict_to_free_supernodes(
     if len(keep) < 2:
         return None
     return _restrict_expansion(eta, keep)
-
-
-def _required_order(k: int, mode: str) -> int:
-    if mode == "paper":
-        return rho_prime(k)
-    return k * small_mode_floor(k)
 
 
 def solve(
@@ -268,11 +263,15 @@ def _solve(
                 "threshold": _report_int(threshold),
             }
         )
-        if decomposition.width <= threshold:
-            outcome = _bounded_tw_branch(stripped, k, decomposition, trail)
-            break
-
-        result = _expansion_branch(stripped, k, cfg, expansion, guards, trail)
+        above = decomposition.width > threshold
+        if above and expansion is not None:
+            result = _expansion_branch(
+                stripped, k, cfg, expansion, decomposition, guards, trail
+            )
+        elif above and k > 1 and cfg.oracle_fallback:
+            result = _oracle_fallback(stripped, k, "wall", guards, trail)
+        else:
+            result = _bounded_tw_branch(stripped, k, decomposition, trail)
         if isinstance(result, (PackingCertificate, GfvsCertificate)):
             outcome = result
             break
@@ -324,48 +323,29 @@ def _expansion_branch(
     g: LabeledGraph,
     k: int,
     cfg: DriverConfig,
-    supplied: Optional[CliqueExpansion],
+    eta: CliqueExpansion,
+    td: TreeDecomposition,
     guards: OracleGuards,
     trail: list[dict],
-) -> PackingCertificate | GfvsCertificate | Separation | int | None:
-    """Run the clique-expansion machinery. Returns a certificate, a
-    separation, an irrelevant vertex (int), or the oracle/unimplemented
-    outcome when no expansion is available."""
-    need = _required_order(k, cfg.thresholds_mode)
-    eta: Optional[CliqueExpansion] = None
-    if supplied is not None:
-        if not verify_expansion(g, supplied, supplied.order):
-            raise InputError(
-                "supplied expansion does not verify against the stripped graph"
-            )
-        eta = supplied
-        trail.append({"step": "expansion", "source": "witness", "order": eta.order})
-    elif need <= EXPANSION_ORDER_CAP:
-        eta = find_clique_expansion(g, need)
-        trail.append(
-            {
-                "step": "expansion",
-                "source": "search" if eta is not None else "absent",
-                "order": need,
-            }
+) -> PackingCertificate | GfvsCertificate | Separation | int:
+    """Run the clique branch on a supplied expansion witness. Returns a
+    certificate, a separation, or an irrelevant vertex (int). Where the
+    branch cannot settle its central block (`block`), the oracle answers
+    when enabled, and otherwise the bounded-treewidth dynamic program on
+    td, the level's decomposition."""
+    if not verify_expansion(g, eta, eta.order):
+        raise InputError(
+            "supplied expansion does not verify against the stripped graph"
         )
-    else:
-        trail.append(
-            {"step": "expansion", "source": "skipped", "order": _report_int(need)}
-        )
-
-    if eta is None:
-        return _wall_case(g, k, cfg, guards, trail)
-
+    trail.append({"step": "expansion", "source": "witness", "order": eta.order})
     try:
         result = clique_branch_separation(
             g, k, eta, thresholds=cfg.thresholds_mode, guards=guards
         )
     except UnimplementedBranch:
-        if not cfg.oracle_fallback:
-            raise
-        trail.append({"step": "oracle-fallback", "fallback": True, "reason": "block"})
-        return _oracle_fallback(g, k, guards)
+        if cfg.oracle_fallback:
+            return _oracle_fallback(g, k, "block", guards, trail)
+        return _bounded_tw_branch(g, k, td, trail)
     if isinstance(result, PackingCertificate):
         trail.append({"step": "clique-branch", "result": "packing"})
         return result
@@ -387,22 +367,6 @@ def _expansion_branch(
             except InputError as exc:
                 trail.append({"step": "irrelevant-unavailable", "reason": str(exc)})
     return result
-
-
-def _wall_case(
-    g: LabeledGraph,
-    k: int,
-    cfg: DriverConfig,
-    guards: OracleGuards,
-    trail: list[dict],
-) -> PackingCertificate | GfvsCertificate:
-    if cfg.oracle_fallback:
-        trail.append({"step": "oracle-fallback", "fallback": True, "reason": "wall"})
-        return _oracle_fallback(g, k, guards)
-    raise UnimplementedBranch(
-        "the wall branch is not implemented; enable the oracle fallback or "
-        "raise the treewidth threshold"
-    )
 
 
 def _separation_step(

@@ -113,13 +113,41 @@ class TestSolveVerify:
 
     def test_oracle_fallback_flag(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "w.json", ["gen", "escher_wall", "--height", "2"], capsys)
-        code, _, _ = run(capsys, "solve", gpath, "-k", "2", "--tw-threshold", "2")
-        assert code == 4
+        # without the flag the bounded-treewidth program answers above the
+        # threshold, within its own bound
+        code, out, _ = run(capsys, "solve", gpath, "-k", "2", "--tw-threshold", "2")
+        assert code == 0
+        dp = json.loads(out)["trail"][-1]
+        assert dp["step"] == "bounded-treewidth"
+        assert dp["result"] == "cover"
+        assert dp["cover_size"] <= dp["bound"]
         code, out, _ = run(
             capsys, "solve", gpath, "-k", "2", "--tw-threshold", "2", "--oracle-fallback"
         )
         assert code == 0
         assert any(t["step"] == "oracle-fallback" for t in json.loads(out)["trail"])
+
+    @pytest.mark.parametrize(
+        "gen, ks",
+        [
+            (["random", "--n", "60", "--arcs", str(arcs), "--group", group,
+              "--seed", "7"], (1, 2, 5))
+            for arcs in (72, 90, 120)
+            for group in ("z2", "s3")
+        ]
+        + [(["escher_wall", "--height", str(h)], (2,)) for h in (3, 5, 8)],
+        ids=[f"random-60-{a}-{grp}" for a in (72, 90, 120) for grp in ("z2", "s3")]
+        + [f"wall-{h}" for h in (3, 5, 8)],
+    )
+    def test_above_threshold_answers_and_verifies(self, tmp_path, capsys, gen, ks):
+        gpath = write_graph(tmp_path, "g.json", ["gen"] + gen, capsys)
+        for k in ks:
+            cpath = tmp_path / f"cert-{k}.json"
+            code, _, err = run(capsys, "solve", gpath, "-k", str(k), "--out", str(cpath))
+            assert code == 0, err
+            code, out, _ = run(capsys, "verify", gpath, str(cpath))
+            assert code == 0
+            assert json.loads(out)["valid"] is True
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "solve", "/no/such/file.json", "-k", "1")

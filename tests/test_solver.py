@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epkit.solver
 from epkit.certificates import certificate_to_json_dict
@@ -365,6 +367,68 @@ class TestMinFillRouting:
         assert seen_large
 
 
+PROBE_GROUPS = {"z2": Cyclic(2), "s3": Symmetric(3)}
+PROBE_GRAPHS = [
+    (n, ratio, group)
+    for n in (60, 200, 1000)
+    for ratio in (1.2, 1.5, 2.0)
+    for group in PROBE_GROUPS
+]
+
+
+class TestEveryInputAnswers:
+    """Above the width threshold with no witness, the bounded-treewidth
+    program answers at the measured width: k disjoint non-null cycles, or a
+    cover within (k-1)(w+1)."""
+
+    @pytest.mark.parametrize(
+        "n, ratio, group",
+        PROBE_GRAPHS,
+        ids=[f"{n}-{ratio}-{group}" for n, ratio, group in PROBE_GRAPHS],
+    )
+    def test_probe_graphs(self, n, ratio, group):
+        g = random_instance(n, round(ratio * n), PROBE_GROUPS[group], seed=7)
+        for k in (1, 2, 5):
+            cert = solve(g, k)
+            assert verify_certificate(g, cert) == (True, ""), k
+            width, dp = cert.trail[1], cert.trail[2]
+            assert width["width"] > width["threshold"]
+            assert dp["step"] == "bounded-treewidth"
+
+    @pytest.mark.parametrize("height, size", [(3, 5), (5, 10), (8, 18)])
+    def test_walls_cover_within_the_measured_bound(self, height, size):
+        w = escher_wall(height)
+        cert = solve(w, 2)
+        assert verify_certificate(w, cert) == (True, "")
+        dp = cert.trail[-1]
+        assert dp["step"] == "bounded-treewidth"
+        assert dp["cover_size"] == size == len(cert.outcome.vertices)
+        assert dp["bound"] == dp["width"] + 1
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_property_no_witness_no_flag(self, data):
+        # loops and parallel arcs included; no oracle runs, so no guard trips
+        # and no branch is left unimplemented
+        group = data.draw(st.sampled_from([Cyclic(2), Cyclic(3), Symmetric(3)]))
+        n = data.draw(st.integers(1, 12))
+        arcs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.sampled_from(list(elements(group))),
+                ),
+                max_size=3 * n,
+            )
+        )
+        g = build_graph(group, n, arcs)
+        k = data.draw(st.integers(1, 4))
+        cfg = DriverConfig(tw_threshold=data.draw(st.integers(1, 3)))
+        cert = solve(g, k, cfg)
+        assert verify_certificate(g, cert) == (True, "")
+
+
 class TestSolveExpansionBranch:
     def test_paths_side_packs(self):
         # two vertex-disjoint odd handles on the core
@@ -400,7 +464,6 @@ class TestSolveExpansionBranch:
             "irrelevant",
             "strip",
             "treewidth",
-            "expansion",
             "oracle-fallback",
         ]
         sep = cert.trail[3]
@@ -443,11 +506,50 @@ class TestSolveExpansionBranch:
             solve(g, 3, DriverConfig(tw_threshold=2), expansion=eta)
 
 
+class TestBlockCase:
+    """Where the clique branch cannot settle its central block, the level
+    answers anyway: by the bounded-treewidth program on its decomposition,
+    or by the oracle when that is enabled."""
+
+    def run(self, monkeypatch, cfg):
+        def unsettled(*args, **kwargs):
+            raise UnimplementedBranch("central block not clean")
+
+        monkeypatch.setattr(epkit.solver, "clique_branch_separation", unsettled)
+        g = k8_plus([(0, 8, 0), (8, 1, 1), (2, 9, 0), (9, 3, 1)])
+        cert = solve(g, 2, cfg, expansion=singleton_expansion(g, range(8)))
+        assert verify_certificate(g, cert) == (True, "")
+        return cert
+
+    def test_bounded_treewidth_without_fallback(self, monkeypatch):
+        cert = self.run(monkeypatch, DriverConfig(tw_threshold=2))
+        assert [t["step"] for t in cert.trail] == [
+            "strip", "treewidth", "expansion", "bounded-treewidth"
+        ]
+        assert cert.trail[2]["source"] == "witness"
+        assert cert.trail[1]["width"] > cert.trail[1]["threshold"]
+        assert cert.kind == "packing"
+
+    def test_oracle_with_fallback(self, monkeypatch):
+        cert = self.run(monkeypatch, DriverConfig(tw_threshold=2, oracle_fallback=True))
+        fallback = cert.trail[-1]
+        assert fallback == {"step": "oracle-fallback", "fallback": True, "reason": "block"}
+        assert cert.kind == "packing"
+
+
 class TestSolveWallCase:
-    def test_unimplemented_without_fallback(self):
+    def test_wall_answers_without_fallback(self):
+        # above the threshold with no witness, the bounded-treewidth
+        # program answers at the measured width
         w = escher_wall(2)
-        with pytest.raises(UnimplementedBranch):
-            solve(w, 2, DriverConfig(tw_threshold=2))
+        cert = solve(w, 2, DriverConfig(tw_threshold=2))
+        assert verify_certificate(w, cert) == (True, "")
+        width = cert.trail[1]
+        assert width["width"] > width["threshold"]
+        dp = cert.trail[2]
+        assert dp["step"] == "bounded-treewidth"
+        assert dp["result"] == "cover"
+        assert dp["cover_size"] <= dp["bound"]
 
     def test_fallback_packs_the_wall(self):
         w = escher_wall(2)
@@ -486,26 +588,28 @@ class TestPaperMode:
 class TestCoverRepair:
     """The irrelevant-vertex guarantee is for the predicate, not for any
     particular cover, so the driver re-checks lifted covers against each
-    pre-deletion graph. The organic route to a deletion needs instances
-    beyond the oracle guard, so the branch seam is stubbed here."""
+    pre-deletion graph. The organic route to a deletion needs a supplied
+    expansion on instances beyond the oracle guard, so the first level's
+    branch seam is stubbed to report one."""
 
     def stub_first_deletion(self, monkeypatch, vertex):
-        real = epkit.solver._expansion_branch
+        real = epkit.solver._bounded_tw_branch
         calls = {"n": 0}
 
-        def fake(g, k, cfg, supplied, guards, trail):
+        def fake(g, k, td, trail):
             calls["n"] += 1
             if calls["n"] == 1:
-                trail.append({"step": "expansion", "source": "stub"})
+                trail.append({"step": "stub"})
                 return vertex
-            return real(g, k, cfg, supplied, guards, trail)
+            return real(g, k, td, trail)
 
-        monkeypatch.setattr(epkit.solver, "_expansion_branch", fake)
+        monkeypatch.setattr(epkit.solver, "_bounded_tw_branch", fake)
 
     def test_needed_vertex_added_back(self, monkeypatch):
         g = odd_cycles(2)
         self.stub_first_deletion(monkeypatch, 0)
-        cert = solve(g, 3, DriverConfig(tw_threshold=1, oracle_fallback=True))
+        cert = solve(g, 3)
+        assert cert.trail[3] == {"step": "irrelevant", "vertex": 0}
         assert cert.kind == "gfvs"
         repair = next(t for t in cert.trail if t["step"] == "cover-repair")
         assert repair["added_back"] == [0]
@@ -520,7 +624,8 @@ class TestCoverRepair:
              (0, 6, 0)],
         )
         self.stub_first_deletion(monkeypatch, 6)
-        cert = solve(g, 3, DriverConfig(tw_threshold=1, oracle_fallback=True))
+        cert = solve(g, 3)
+        assert cert.trail[3] == {"step": "irrelevant", "vertex": 6}
         assert cert.kind == "gfvs"
         assert all(t["step"] != "cover-repair" for t in cert.trail)
         assert verify_certificate(g, cert) == (True, "")

@@ -40,6 +40,15 @@ class TestAccept:
         ]
         assert verify_certificate(g, certificate_from_json_dict(doc)) == (True, "")
 
+    @pytest.mark.parametrize("source", ["search", "absent", "skipped"])
+    def test_older_trail_with_expansion_search(self, source):
+        # older versions searched for an expansion above the threshold, or
+        # logged why they did not, before the branch that answered
+        g = odd_cycles(7)
+        doc = certificate_to_json_dict(solve(g, 1))
+        doc["trail"][2:2] = [{"step": "expansion", "source": source, "order": 2}]
+        assert verify_certificate(g, certificate_from_json_dict(doc)) == (True, "")
+
 
 class TestReject:
     def test_wrong_cycle_count(self):
