@@ -14,13 +14,7 @@ from .cuts import (
     max_disjoint_paths,
     tw_reduction_set,
 )
-from .errors import (
-    EpkitError,
-    GuardExceeded,
-    InputError,
-    InternalInvariantError,
-    UnimplementedBranch,
-)
+from .errors import EpkitError, GuardExceeded, InputError, InternalInvariantError
 from .generators import escher_wall, generate, odd_cycles, random_instance, subdivided_clique, zm_grid
 from .graph import Arc, LabeledGraph, Separation, Walk, build_graph, load_graph
 from .groups import Cyclic, GroupElement, Product, Symmetric, make_element
@@ -30,7 +24,6 @@ from .packing import (
     CliqueExpansion,
     clique_branch_irrelevant,
     clique_branch_separation,
-    find_clique_expansion,
     non_null_s_paths_or_hitting_set,
     verify_expansion,
 )
@@ -63,7 +56,6 @@ __all__ = [
     "Separation",
     "Symmetric",
     "TreeDecomposition",
-    "UnimplementedBranch",
     "Walk",
     "build_graph",
     "certificate_from_json_dict",
@@ -73,7 +65,6 @@ __all__ = [
     "enumerate_important_separators",
     "ep_predicate",
     "escher_wall",
-    "find_clique_expansion",
     "find_irrelevant_vertex",
     "find_non_null_cycle",
     "generate",

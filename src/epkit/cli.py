@@ -1,8 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a certificate failed verification, 2 invalid
-input, 3 a size guard was exceeded, 4 an unimplemented branch was reached.
-All output is deterministic JSON.
+input, 3 a size guard was exceeded. All output is deterministic JSON.
 """
 
 import argparse
@@ -16,12 +15,7 @@ from .cuts import (
     find_irrelevant_vertex,
     tw_reduction_set,
 )
-from .errors import (
-    GuardExceeded,
-    InputError,
-    InternalInvariantError,
-    UnimplementedBranch,
-)
+from .errors import GuardExceeded, InputError, InternalInvariantError
 from .generators import generate
 from .graph import Separation, dump_json, graph_to_json_dict, load_graph
 from .groups import Cyclic, GroupSpec, Product, Symmetric
@@ -35,7 +29,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
-EXIT_UNIMPLEMENTED = 4
 
 
 def _int_list(text: str) -> list[int]:
@@ -281,9 +274,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except UnimplementedBranch as exc:
-        print(f"unimplemented: {exc}", file=sys.stderr)
-        return EXIT_UNIMPLEMENTED
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -60,20 +60,6 @@ def validate_spec(spec: GroupSpec) -> None:
         raise InputError(f"unknown group spec: {spec!r}")
 
 
-def order(spec: GroupSpec) -> int:
-    if isinstance(spec, Cyclic):
-        return spec.n
-    if isinstance(spec, Symmetric):
-        result = 1
-        for i in range(2, spec.n + 1):
-            result *= i
-        return result
-    prod = 1
-    for part in spec.parts:
-        prod *= order(part)
-    return prod
-
-
 @dataclass(frozen=True, slots=True)
 class GroupElement:
     spec: GroupSpec

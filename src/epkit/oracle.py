@@ -197,38 +197,35 @@ def min_gfvs(
     return list(min_hitting_set(_cycle_vertex_sets(g, cycles), g.n))
 
 
-def max_packing(
-    g: LabeledGraph,
+def pack_sets(
+    vertex_sets: list[frozenset[int]],
     capacity: int,
     stop_at: Optional[int] = None,
-    guards: OracleGuards = DEFAULT_GUARDS,
-) -> list[Walk]:
-    """A maximum collection of distinct non-null cycles with every vertex
-    used at most `capacity` times. capacity=1 is the integral packing
-    number, capacity=2 the half-integral one. `stop_at` returns early once
-    that many cycles fit.
+) -> list[int]:
+    """Indices of a maximum subfamily with every vertex in at most
+    `capacity` of its sets. `stop_at` returns early once that many fit.
 
-    The search takes the cycles by size, then canonical order, and keeps
-    the first largest collection it finds. Each cycle is a bitmask over
-    the positions of its vertices in `g.vertices`, stored in search order.
+    An include-first depth-first search over the sets in the order given;
+    it keeps the first largest subfamily it finds, listed in that order,
+    and prunes only branches that cannot beat it. Each set is a bitmask
+    over the positions of its vertices in the sorted union of the sets.
     A saturation mask `full` holds the vertices whose usage has reached
     `capacity`; it is an argument of the search, so a backtrack restores
-    it. A cycle fits exactly when `mask & full == 0`, so the bound that
-    counts the remaining cycles that still fit one at a time costs one AND
-    per cycle."""
+    it. A set fits exactly when `mask & full == 0`, so the bound that
+    counts the remaining sets that still fit one at a time costs one AND
+    per set."""
     if capacity < 1:
         raise InputError("capacity must be at least 1")
-    cycles = enumerate_non_null_cycles(g, guards)
-    sets = _cycle_vertex_sets(g, cycles)
-    order = sorted(range(len(cycles)), key=lambda i: (len(sets[i]), i))
-    position = {v: i for i, v in enumerate(g.vertices)}
-    bits = [[position[v] for v in sets[j]] for j in order]
-    masks = [sum(1 << b for b in cycle_bits) for cycle_bits in bits]
+    position = {
+        v: i for i, v in enumerate(sorted(frozenset().union(*vertex_sets)))
+    }
+    bits = [[position[v] for v in vs] for vs in vertex_sets]
+    masks = [sum(1 << b for b in set_bits) for set_bits in bits]
     usage = [0] * len(position)
     best: list[int] = []
 
     def can_beat(idx: int, slack: int, full: int) -> bool:
-        """Could at least `slack` + 1 more cycles still fit individually?"""
+        """Could at least `slack` + 1 more sets still fit individually?"""
         if slack < 0:
             return True
         count = 0
@@ -242,13 +239,13 @@ def max_packing(
     chosen: list[int] = []
 
     def search(idx: int, full: int) -> bool:
-        # skipping a cycle advances idx in place; recursion depth is the
-        # number of chosen cycles, not the number of enumerated ones
+        # skipping a set advances idx in place; recursion depth is the
+        # number of chosen sets, not the number of given ones
         nonlocal best
         while True:
             if stop_at is not None and len(best) >= stop_at:
                 return True
-            if idx == len(order):
+            if idx == len(masks):
                 if len(chosen) > len(best):
                     best = list(chosen)
                 return stop_at is not None and len(best) >= stop_at
@@ -260,7 +257,7 @@ def max_packing(
                     usage[b] += 1
                     if usage[b] == capacity:
                         grown |= 1 << b
-                chosen.append(order[idx])
+                chosen.append(idx)
                 if search(idx + 1, grown):
                     return True
                 chosen.pop()
@@ -272,15 +269,31 @@ def max_packing(
     # `search` calls itself through its closure, a reference cycle; deleting
     # the name frees the search state now, not at the next cyclic collection
     del search
-    return [cycles[j] for j in best]
+    return best
 
 
-def packing_number(
+def max_packing(
     g: LabeledGraph,
     capacity: int,
+    stop_at: Optional[int] = None,
     guards: OracleGuards = DEFAULT_GUARDS,
-) -> int:
-    return len(max_packing(g, capacity, guards=guards))
+) -> list[Walk]:
+    """A maximum collection of distinct non-null cycles with every vertex
+    used at most `capacity` times. capacity=1 is the integral packing
+    number, capacity=2 the half-integral one. `stop_at` returns early once
+    that many cycles fit.
+
+    `pack_sets` searches the cycles' vertex sets by size, then canonical
+    order, and keeps the first largest collection it finds; its bits index
+    the sorted union of those sets."""
+    # `pack_sets` checks this too, but only after the enumeration
+    if capacity < 1:
+        raise InputError("capacity must be at least 1")
+    cycles = enumerate_non_null_cycles(g, guards)
+    sets = _cycle_vertex_sets(g, cycles)
+    order = sorted(range(len(cycles)), key=lambda i: (len(sets[i]), i))
+    chosen = pack_sets([sets[j] for j in order], capacity, stop_at)
+    return [cycles[order[i]] for i in chosen]
 
 
 def ep_predicate(
@@ -297,7 +310,3 @@ def ep_predicate(
     if len(max_packing(g, 2, stop_at=k, guards=guards)) >= k:
         return True
     return len(min_gfvs(g, guards)) <= p
-
-
-def hitting_number(g: LabeledGraph, guards: OracleGuards = DEFAULT_GUARDS) -> int:
-    return len(min_gfvs(g, guards))

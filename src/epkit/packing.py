@@ -19,12 +19,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .cuts import find_irrelevant_vertex
-from .errors import (
-    GuardExceeded,
-    InputError,
-    InternalInvariantError,
-    UnimplementedBranch,
-)
+from .errors import GuardExceeded, InputError, InternalInvariantError
 from .graph import (
     FORWARD,
     REVERSE,
@@ -47,11 +42,14 @@ from .labeling import (
     is_clean,
     untangle,
 )
-from .oracle import DEFAULT_GUARDS, OracleGuards, min_hitting_set, simple_paths
+from .oracle import (
+    DEFAULT_GUARDS,
+    OracleGuards,
+    min_hitting_set,
+    pack_sets,
+    simple_paths,
+)
 from .treedec import PackingCertificate, verify_packing
-
-EXPANSION_ORDER_CAP = 6
-_EXPANSION_SEARCH_CAP = 200_000
 
 
 def rho_threshold(k: int) -> int:
@@ -190,135 +188,6 @@ def expansion_from_json_dict(doc: dict) -> CliqueExpansion:
     return CliqueExpansion(supernodes, tree_edges, edge_map, centers)
 
 
-def _min_arc_between(g: LabeledGraph, left: frozenset[int], right: frozenset[int]) -> Optional[int]:
-    best = None
-    for arc in g.arcs:
-        if arc.is_loop:
-            continue
-        ends = {arc.tail, arc.head}
-        if ends & left and ends & right:
-            if best is None or arc.id < best:
-                best = arc.id
-    return best
-
-
-def _spanning_tree_arc_ids(g: LabeledGraph, nodes: frozenset[int]) -> tuple[int, ...]:
-    # lowest arc id per simple edge, BFS from the least vertex
-    best_arc: dict[tuple[int, int], int] = {}
-    for arc in g.arcs:
-        if arc.is_loop or arc.tail not in nodes or arc.head not in nodes:
-            continue
-        key = (min(arc.tail, arc.head), max(arc.tail, arc.head))
-        if key not in best_arc or arc.id < best_arc[key]:
-            best_arc[key] = arc.id
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for (u, w) in best_arc:
-        adj[u].append(w)
-        adj[w].append(u)
-    start = min(nodes)
-    seen = {start}
-    queue = [start]
-    picked: list[int] = []
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                picked.append(best_arc[(min(u, w), max(u, w))])
-                queue.append(w)
-    if seen != set(nodes):
-        raise InternalInvariantError("supernode candidate is not connected")
-    return tuple(picked)
-
-
-def _expansion_from_groups(
-    g: LabeledGraph, groups: tuple[frozenset[int], ...]
-) -> CliqueExpansion:
-    ordered = sorted(groups, key=min)
-    supernodes = {i: grp for i, grp in enumerate(ordered)}
-    tree_edges = {i: _spanning_tree_arc_ids(g, grp) for i, grp in enumerate(ordered)}
-    edge_map: dict[tuple[int, int], int] = {}
-    for i, j in combinations(range(len(ordered)), 2):
-        arc_id = _min_arc_between(g, ordered[i], ordered[j])
-        if arc_id is None:
-            raise InternalInvariantError("chosen groups are not pairwise adjacent")
-        edge_map[(i, j)] = arc_id
-    centers = {i: min(grp) for i, grp in enumerate(ordered)}
-    return CliqueExpansion(supernodes, tree_edges, edge_map, centers)
-
-
-def find_clique_expansion(g: LabeledGraph, ell: int) -> Optional[CliqueExpansion]:
-    """A verified K_ell expansion, or None when no K_ell minor exists.
-
-    Exact search by edge contraction: a model with a non-singleton tree has
-    an internal edge whose contraction preserves it, and an all-singleton
-    model is a plain clique in the contracted graph. States are partitions
-    into connected groups; failed states are memoized.
-
-    `solve` no longer calls this search: it uses an expansion only when the
-    caller supplies one, and this is one way to build that witness.
-    """
-    if ell < 1:
-        raise InputError("expansion order must be positive")
-    if ell > EXPANSION_ORDER_CAP:
-        raise GuardExceeded(
-            f"expansion search capped at order {EXPANSION_ORDER_CAP}, got {ell}"
-        )
-    if g.n < ell:
-        return None
-    base_adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
-
-    def groups_adjacent(a: frozenset[int], b: frozenset[int]) -> bool:
-        return any(base_adj[v] & b for v in a)
-
-    failed: set[frozenset[frozenset[int]]] = set()
-    visited = 0
-
-    def search(groups: tuple[frozenset[int], ...]) -> Optional[tuple[frozenset[int], ...]]:
-        nonlocal visited
-        if len(groups) < ell:
-            return None
-        key = frozenset(groups)
-        if key in failed:
-            return None
-        visited += 1
-        if visited > _EXPANSION_SEARCH_CAP:
-            raise GuardExceeded("expansion search exceeded its state budget")
-        for combo in combinations(range(len(groups)), ell):
-            if all(
-                groups_adjacent(groups[i], groups[j])
-                for i, j in combinations(combo, 2)
-            ):
-                return tuple(groups[i] for i in combo)
-        for i, j in combinations(range(len(groups)), 2):
-            if not groups_adjacent(groups[i], groups[j]):
-                continue
-            merged = groups[i] | groups[j]
-            nxt = tuple(
-                grp for idx, grp in enumerate(groups) if idx not in (i, j)
-            ) + (merged,)
-            nxt = tuple(sorted(nxt, key=min))
-            found = search(nxt)
-            if found is not None:
-                return found
-        failed.add(key)
-        return None
-
-    start = tuple(frozenset({v}) for v in g.vertices)
-    chosen = search(start)
-    # `search` calls itself through its closure, a reference cycle; deleting
-    # the name frees the search state now, not at the next cyclic collection
-    del search
-    if chosen is None:
-        return None
-    eta = _expansion_from_groups(g, chosen)
-    if not verify_expansion(g, eta, ell):
-        raise InternalInvariantError("constructed expansion fails verification")
-    return eta
-
-
 # Non-null S-path duality -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -379,32 +248,6 @@ def enumerate_non_null_s_paths(
     return out
 
 
-def _max_disjoint_indices(vertex_sets: list[frozenset[int]], stop_at: int) -> list[int]:
-    """Indices of a maximum vertex-disjoint subfamily; returns early once
-    stop_at members are packed."""
-    best: list[int] = []
-    n = len(vertex_sets)
-
-    def dfs(i: int, chosen: list[int], used: frozenset[int]) -> bool:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(best) >= stop_at:
-            return True
-        if i == n or len(chosen) + (n - i) <= len(best):
-            return False
-        if not (vertex_sets[i] & used):
-            if dfs(i + 1, chosen + [i], used | vertex_sets[i]):
-                return True
-        return dfs(i + 1, chosen, used)
-
-    dfs(0, [], frozenset())
-    # `dfs` calls itself through its closure, a reference cycle; deleting
-    # the name frees the search state now, not at the next cyclic collection
-    del dfs
-    return best
-
-
 def non_null_s_paths_or_hitting_set(
     g: LabeledGraph,
     s: Iterable[int],
@@ -428,7 +271,7 @@ def non_null_s_paths_or_hitting_set(
         g, s_set, guards, stop_at=1 if k == 1 else None
     )
     vertex_sets = [frozenset(walk_vertices(g, p)) for p in paths]
-    chosen = _max_disjoint_indices(vertex_sets, k)
+    chosen = pack_sets(vertex_sets, 1, k)
     if len(chosen) >= k:
         return SPathDualityResult(
             paths=tuple(paths[i] for i in chosen[:k]), hitting_set=None
@@ -519,11 +362,12 @@ def clique_branch_separation(
     k: int,
     eta_star: CliqueExpansion,
     thresholds: str = "paper",
-    guards: OracleGuards = DEFAULT_GUARDS,
-) -> PackingCertificate | Separation:
+) -> PackingCertificate | Separation | None:
     """Either a half-integral k-packing of non-null cycles, or a separation
     (A, B) with G[A - B] clean, |A n B| <= 3k, and every supernode of
-    eta_star disjoint from A n B on the A side.
+    eta_star disjoint from A n B on the A side; None when the central block
+    of the hitting-set case is not clean and k > 1, a case this branch
+    does not settle.
 
     The expansion splits into k sub-expansions. All non-clean: one cycle
     each. Otherwise a clean one is untangled and its centers feed the
@@ -571,7 +415,7 @@ def clique_branch_separation(
     g2 = untangle(g, area)
     s_set = frozenset(eta.centers.values())
 
-    duality = non_null_s_paths_or_hitting_set(g2, s_set, k, guards)
+    duality = non_null_s_paths_or_hitting_set(g2, s_set, k)
     if duality.paths is not None:
         cycles = []
         for path in duality.paths:
@@ -607,9 +451,7 @@ def clique_branch_separation(
             if not verify_packing(g, cert):
                 raise InternalInvariantError("block witness fails verification")
             return cert
-        raise UnimplementedBranch(
-            "central block of the hitting-set case is not clean and k > 1"
-        )
+        return None
 
     pendant_roots = sorted(cut_vertices & block)
     non_clean: list[tuple[int, frozenset[int]]] = []

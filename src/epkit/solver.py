@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import Certificate
-from .errors import InputError, InternalInvariantError, UnimplementedBranch
+from .errors import InputError, InternalInvariantError
 from .graph import LabeledGraph, Separation, blocks_and_cut_vertices
 from .groups import identity, is_identity
 from .labeling import (
@@ -31,7 +31,7 @@ from .labeling import (
     is_clean,
     verify_gfvs,
 )
-from .oracle import DEFAULT_GUARDS, OracleGuards, max_packing, min_gfvs
+from .oracle import max_packing, min_gfvs
 from .packing import (
     CliqueExpansion,
     _restrict_expansion,
@@ -159,16 +159,16 @@ def strip_null_arcs(g: LabeledGraph) -> LabeledGraph:
 
 
 def _oracle_fallback(
-    g: LabeledGraph, k: int, reason: str, guards: OracleGuards, trail: list[dict]
+    g: LabeledGraph, k: int, reason: str, trail: list[dict]
 ) -> PackingCertificate | GfvsCertificate:
     trail.append({"step": "oracle-fallback", "fallback": True, "reason": reason})
-    cycles = max_packing(g, capacity=2, stop_at=k, guards=guards)
+    cycles = max_packing(g, capacity=2, stop_at=k)
     if len(cycles) >= k:
         cert = PackingCertificate(tuple(cycles[:k]), "half-integral")
         if not verify_packing(g, cert):
             raise InternalInvariantError("oracle packing fails verification")
         return cert
-    return GfvsCertificate(tuple(min_gfvs(g, guards)), True)
+    return GfvsCertificate(tuple(min_gfvs(g)), True)
 
 
 def _restrict_to_free_supernodes(
@@ -186,7 +186,6 @@ def solve(
     cfg: DriverConfig = DriverConfig(),
     expansion: Optional[CliqueExpansion] = None,
     td: Optional[TreeDecomposition] = None,
-    guards: OracleGuards = DEFAULT_GUARDS,
 ) -> Certificate:
     """A verified half-integral k-packing of non-null cycles, or a verified
     cover meeting every non-null cycle.
@@ -196,7 +195,7 @@ def solve(
     """
     if k < 1:
         raise InputError("k must be positive")
-    outcome, trail = _solve(g, k, cfg, expansion, td, guards)
+    outcome, trail = _solve(g, k, cfg, expansion, td)
     if isinstance(outcome, PackingCertificate):
         if outcome.k != k or not verify_packing(g, outcome):
             raise InternalInvariantError("final packing fails verification")
@@ -223,7 +222,6 @@ def _solve(
     cfg: DriverConfig,
     expansion: Optional[CliqueExpansion],
     td: Optional[TreeDecomposition],
-    guards: OracleGuards,
 ) -> tuple[PackingCertificate | GfvsCertificate, tuple[dict, ...]]:
     trail: list[dict] = []
     current = g
@@ -266,10 +264,10 @@ def _solve(
         above = decomposition.width > threshold
         if above and expansion is not None:
             result = _expansion_branch(
-                stripped, k, cfg, expansion, decomposition, guards, trail
+                stripped, k, cfg, expansion, decomposition, trail
             )
         elif above and k > 1 and cfg.oracle_fallback:
-            result = _oracle_fallback(stripped, k, "wall", guards, trail)
+            result = _oracle_fallback(stripped, k, "wall", trail)
         else:
             result = _bounded_tw_branch(stripped, k, decomposition, trail)
         if isinstance(result, (PackingCertificate, GfvsCertificate)):
@@ -283,7 +281,7 @@ def _solve(
             expansion = None
             td = None
             continue
-        outcome = _separation_step(stripped, k, cfg, result, guards, trail)
+        outcome = _separation_step(stripped, k, cfg, result, trail)
         break
 
     if isinstance(outcome, GfvsCertificate):
@@ -325,7 +323,6 @@ def _expansion_branch(
     cfg: DriverConfig,
     eta: CliqueExpansion,
     td: TreeDecomposition,
-    guards: OracleGuards,
     trail: list[dict],
 ) -> PackingCertificate | GfvsCertificate | Separation | int:
     """Run the clique branch on a supplied expansion witness. Returns a
@@ -338,13 +335,10 @@ def _expansion_branch(
             "supplied expansion does not verify against the stripped graph"
         )
     trail.append({"step": "expansion", "source": "witness", "order": eta.order})
-    try:
-        result = clique_branch_separation(
-            g, k, eta, thresholds=cfg.thresholds_mode, guards=guards
-        )
-    except UnimplementedBranch:
+    result = clique_branch_separation(g, k, eta, thresholds=cfg.thresholds_mode)
+    if result is None:
         if cfg.oracle_fallback:
-            return _oracle_fallback(g, k, "block", guards, trail)
+            return _oracle_fallback(g, k, "block", trail)
         return _bounded_tw_branch(g, k, td, trail)
     if isinstance(result, PackingCertificate):
         trail.append({"step": "clique-branch", "result": "packing"})
@@ -374,7 +368,6 @@ def _separation_step(
     k: int,
     cfg: DriverConfig,
     sep: Separation,
-    guards: OracleGuards,
     trail: list[dict],
 ) -> PackingCertificate | GfvsCertificate:
     """Recurse behind a separation whose near side minus the boundary is
@@ -389,7 +382,7 @@ def _separation_step(
             trail.append({"step": "separation-recurse", "side": "near-cycle", "k": k})
             return cert
         sub_graph = g.induced_subgraph(sep.b - sep.a)
-        sub_outcome, sub_trail = _solve(sub_graph, k - 1, cfg, None, None, guards)
+        sub_outcome, sub_trail = _solve(sub_graph, k - 1, cfg, None, None)
         trail.append(
             {
                 "step": "separation-recurse",
@@ -416,7 +409,7 @@ def _separation_step(
     if not sep.a - sep.b:
         raise InternalInvariantError("separation has an empty near side")
     sub_graph = g.induced_subgraph(sep.b)
-    sub_outcome, sub_trail = _solve(sub_graph, k, cfg, None, None, guards)
+    sub_outcome, sub_trail = _solve(sub_graph, k, cfg, None, None)
     trail.append(
         {
             "step": "separation-recurse",

@@ -57,8 +57,8 @@ from .groups import identity
 from .labeling import (
     GfvsCertificate,
     PotentialMap,
+    find_consistent_labeling,
     find_non_null_cycle,
-    is_clean,
     verify_gfvs,
 )
 
@@ -503,7 +503,8 @@ def packing_or_cover_bounded_tw(
                 raise InternalInvariantError("clean subtree has no potentials")
         pending[node] = (subtree, pots, td.bags[node])
 
-    if is_clean(g, live):
+    final = find_consistent_labeling(g, live)
+    if final.clean:
         cert = GfvsCertificate(tuple(sorted(cover)), True)
         if len(cover) > (k - 1) * (w + 1):
             raise InternalInvariantError(
@@ -514,7 +515,7 @@ def packing_or_cover_bounded_tw(
         return cert
     if len(cycles) != k - 1:
         raise InternalInvariantError("graph is not clean but every subtree is")
-    cycles.append(find_non_null_cycle(g, live))
+    cycles.append(final.witness)
     cert = PackingCertificate(tuple(cycles), "integral")
     if not verify_packing(g, cert):
         raise InternalInvariantError("constructed packing fails verification")

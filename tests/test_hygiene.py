@@ -2,8 +2,10 @@
 
 - No module, in src/epkit or among the tests, imports a name it does not
   use.
-- Every top-level function and class is referenced somewhere in src/epkit
-  outside its own definition, or is exported through `epkit.__all__`.
+- Every top-level function and class is referenced outside its own
+  definition, or is exported through `epkit.__all__`. A reference counts
+  only in the defining module, or in a module of src/epkit that imports the
+  name from it; a local variable of the same name elsewhere is not one.
 
 A reference is a name read in code; an import alone is not one, since an
 import that nothing reads fails the first check. The allowlist names the
@@ -17,10 +19,7 @@ from collections import Counter
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "epkit"
 
-ALLOWED_WITHOUT_CALLER = {
-    "oracle.packing_number": "oracle entry: ground-truth half-integral packing number",
-    "oracle.hitting_number": "oracle entry: ground-truth minimum cover size",
-}
+ALLOWED_WITHOUT_CALLER: dict[str, str] = {}
 
 
 def modules(root=SRC):
@@ -58,16 +57,35 @@ def unused_imports(trees, exports):
     return found
 
 
+def imported_reads(trees):
+    """(source module, name) -> reads of it in the modules importing it
+    with `from .source import name`."""
+    reads = Counter()
+    for tree in trees.values():
+        local = names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    reads[(node.module, alias.name)] += local[alias.asname or alias.name]
+    return reads
+
+
 def definitions_without_caller(trees, exports):
-    reads = sum((names_read(tree) for tree in trees.values()), Counter())
+    elsewhere = imported_reads(trees)
     found = []
     for module, tree in trees.items():
+        local = names_read(tree)
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
+            name = node.name
             # reads inside the definition itself, recursion included, do not count
-            if node.name not in exports and reads[node.name] == names_read(node)[node.name]:
-                found.append(f"{module}.{node.name}")
+            if (
+                name not in exports
+                and local[name] == names_read(node)[name]
+                and not elsewhere[(module, name)]
+            ):
+                found.append(f"{module}.{name}")
     return found
 
 
@@ -99,12 +117,27 @@ def test_checks_catch_planted_faults():
         "from .graph import reach, walk_value\n"
         "def used():\n    return walk_value\n"
         "def orphan():\n    return orphan()\n"
+        "def shadowed():\n    return 0\n"
+        "def imported():\n    return 0\n"
         "class Caller:\n    hook = used\n"
     )
-    trees = {"__init__": ast.parse("__all__ = ['Caller']"), "planted": tree}
+    # another module reads `shadowed` only as a local variable of its own
+    # and `imported` through an import from the planted module
+    other = ast.parse(
+        "from .planted import imported\n"
+        "def f(shadowed):\n    return shadowed + imported()\n"
+    )
+    trees = {
+        "__init__": ast.parse("__all__ = ['Caller', 'f']"),
+        "planted": tree,
+        "other": other,
+    }
     exports = exported(trees)
     assert unused_imports(trees, exports) == [
         "planted.py:1 imports json",
         "planted.py:2 imports reach",
     ]
-    assert definitions_without_caller(trees, exports) == ["planted.orphan"]
+    assert definitions_without_caller(trees, exports) == [
+        "planted.orphan",
+        "planted.shadowed",
+    ]

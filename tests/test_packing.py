@@ -1,9 +1,8 @@
 """Expansions, S-path duality, and the expansion branch.
 
 The duality is cross-checked against a networkx-based path enumeration and
-subset brute force, the expansion finder against assignment enumeration
-over all vertex-to-supernode maps. Branch outputs are re-verified from
-definitions (cycle values, disjointness, separation structure).
+subset brute force. Branch outputs are re-verified from definitions (cycle
+values, disjointness, separation structure).
 """
 
 import itertools
@@ -36,7 +35,6 @@ from epkit.packing import (
     enumerate_non_null_s_paths,
     expansion_from_json_dict,
     expansion_to_json_dict,
-    find_clique_expansion,
     non_null_s_paths_or_hitting_set,
     rho_threshold,
     verify_expansion,
@@ -83,48 +81,6 @@ def singleton_expansion(g, vertices):
         },
         centers={i: v for i, v in enumerate(vs)},
     )
-
-
-def petersen():
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((5 + i, 5 + (i + 2) % 5))
-        edges.append((i, i + 5))
-    return plain(10, edges)
-
-
-# Independent minor test: every map of vertices onto ell labeled parts.
-
-def oracle_has_clique_minor(g, ell):
-    adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
-    vs = sorted(adj)
-
-    def connected(part):
-        seen = {part[0]}
-        stack = [part[0]]
-        inside = set(part)
-        while stack:
-            for w in adj[stack.pop()] & inside:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == inside
-
-    for assign in itertools.product(range(ell + 1), repeat=len(vs)):
-        parts = [
-            [v for v, a in zip(vs, assign) if a == i + 1] for i in range(ell)
-        ]
-        if any(not p for p in parts):
-            continue
-        if not all(connected(p) for p in parts):
-            continue
-        if all(
-            any(adj[x] & set(q) for x in p)
-            for p, q in itertools.combinations(parts, 2)
-        ):
-            return True
-    return False
 
 
 def is_non_null_s_path(g, s, walk):
@@ -234,55 +190,6 @@ class TestVerifyExpansion:
                     "centers": {"0": 0},
                 }
             )
-
-
-class TestFindCliqueExpansion:
-    def test_complete_graph(self):
-        g = plain(6, list(itertools.combinations(range(6), 2)))
-        eta = find_clique_expansion(g, 6)
-        assert eta is not None
-        assert verify_expansion(g, eta, 6)
-
-    def test_tree_has_no_triangle_minor(self):
-        g = plain(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-        assert find_clique_expansion(g, 3) is None
-
-    def test_petersen_contains_k5(self):
-        eta = find_clique_expansion(petersen(), 5)
-        assert eta is not None
-        assert verify_expansion(petersen(), eta, 5)
-
-    def test_petersen_has_no_k6(self):
-        assert find_clique_expansion(petersen(), 6) is None
-
-    def test_order_cap(self):
-        g = plain(8, list(itertools.combinations(range(8), 2)))
-        with pytest.raises(GuardExceeded):
-            find_clique_expansion(g, 7)
-
-    def test_zero_order_rejected(self):
-        with pytest.raises(InputError):
-            find_clique_expansion(plain(2, [(0, 1)]), 0)
-
-    @pytest.mark.parametrize("ell", [3, 4])
-    def test_matches_assignment_oracle(self, ell):
-        for seed in range(18):
-            rng = random.Random(1000 * ell + seed)
-            n = 6
-            edges = [
-                (u, v)
-                for u, v in itertools.combinations(range(n), 2)
-                if rng.random() < 0.45
-            ]
-            g = plain(n, edges)
-            eta = find_clique_expansion(g, ell)
-            assert (eta is not None) == oracle_has_clique_minor(g, ell), f"seed {seed}"
-            if eta is not None:
-                assert verify_expansion(g, eta, ell)
-
-    def test_deterministic(self):
-        g = petersen()
-        assert find_clique_expansion(g, 5) == find_clique_expansion(g, 5)
 
 
 # S-path oracle: networkx edge-path enumeration plus subset brute force.

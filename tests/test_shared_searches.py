@@ -2,20 +2,24 @@
 
 `oracle.simple_paths` serves cycle enumeration and S-path enumeration;
 `oracle.min_hitting_set` serves `min_gfvs` and the S-path duality;
+`oracle.pack_sets` serves `max_packing` and the S-path duality;
 `graph.reach` serves components and the cut routines. The reference
 functions below are self-contained searches written for each
 caller. The package must reproduce them step for step, not merely as sets:
-S-path order feeds `_max_disjoint_indices`, and the first cycle direction
+S-path order feeds the disjoint-path search, and the first cycle direction
 found is the one a certificate prints.
 
 Cycle enumeration and the packing search have fast paths of their own: one
 canonical form per cycle, an arc-set dedupe and saturation bitmasks. Their
 references dedupe and sort by the all-rotations canonical form of
 `test_graph` and track vertex usage in a dict, as the definitions read.
+`pack_sets` is also checked against a brute force over subfamilies.
 """
 
 import gc
+import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 from hypothesis import given, settings
@@ -41,13 +45,12 @@ from epkit.oracle import (
     max_packing,
     min_gfvs,
     min_hitting_set,
+    pack_sets,
     simple_paths,
 )
 from epkit.generators import subdivided_clique
 from epkit.packing import (
-    _max_disjoint_indices,
     enumerate_non_null_s_paths,
-    find_clique_expansion,
     non_null_s_paths_or_hitting_set,
 )
 from epkit.treedec import _feasible_order
@@ -227,6 +230,29 @@ def reference_min_gfvs(g):
         size += 1
 
 
+def reference_max_disjoint_indices(vertex_sets, stop_at):
+    """Indices of a maximum vertex-disjoint subfamily; returns early once
+    stop_at members are packed."""
+    best = []
+    n = len(vertex_sets)
+
+    def dfs(i, chosen, used):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(best) >= stop_at:
+            return True
+        if i == n or len(chosen) + (n - i) <= len(best):
+            return False
+        if not (vertex_sets[i] & used):
+            if dfs(i + 1, chosen + [i], used | vertex_sets[i]):
+                return True
+        return dfs(i + 1, chosen, used)
+
+    dfs(0, [], frozenset())
+    return best
+
+
 def reference_min_hitting_set(vertex_sets, cap):
     def hit(depth, chosen):
         unhit = next((vs for vs in vertex_sets if not (vs & chosen)), None)
@@ -324,7 +350,7 @@ class TestMinHittingSet:
             sets = [frozenset(walk_vertices(g, p)) for p in paths]
             for k in (1, 2, 3):
                 result = non_null_s_paths_or_hitting_set(g, s_set, k)
-                chosen = _max_disjoint_indices(sets, k)
+                chosen = reference_max_disjoint_indices(sets, k)
                 if len(chosen) >= k:
                     assert result.paths == tuple(paths[i] for i in chosen[:k])
                 else:
@@ -404,6 +430,40 @@ class TestMaxPacking:
                 ), (capacity, stop_at)
 
 
+def brute_force_packing_size(vertex_sets, capacity):
+    """The largest subfamily with every vertex in at most capacity sets."""
+    for size in range(len(vertex_sets), 0, -1):
+        for family in itertools.combinations(vertex_sets, size):
+            usage = Counter(v for vs in family for v in vs)
+            if all(count <= capacity for count in usage.values()):
+                return size
+    return 0
+
+
+class TestPackSets:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        family=st.lists(
+            st.frozensets(st.integers(0, 7), max_size=8), max_size=8
+        ),
+        capacity=st.integers(1, 3),
+        stop_at=st.none() | st.integers(1, 3),
+    )
+    def test_property_matches_brute_force(self, family, capacity, stop_at):
+        # duplicates are allowed: st.lists does not make its sets unique
+        chosen = pack_sets(family, capacity, stop_at)
+        assert chosen == sorted(set(chosen))
+        usage = Counter(v for i in chosen for v in family[i])
+        assert all(count <= capacity for count in usage.values())
+        best = brute_force_packing_size(family, capacity)
+        # past stop_at the search finishes the branch it is on, so it may
+        # return more than stop_at sets, but never more than the maximum
+        if stop_at is None or best <= stop_at:
+            assert len(chosen) == best
+        else:
+            assert stop_at <= len(chosen) <= best
+
+
 # No search leaves a reference cycle ---------------------------------------------
 
 def cyclic_garbage(call):
@@ -431,8 +491,7 @@ class TestNoReferenceCycles:
             "s_paths": lambda: enumerate_non_null_s_paths(g, frozenset(g.vertices)),
             "min_gfvs": lambda: min_gfvs(g),
             "max_packing": lambda: max_packing(g, 2),
-            "max_disjoint": lambda: _max_disjoint_indices(sets, len(sets)),
-            "clique_expansion": lambda: find_clique_expansion(clique, 4),
+            "pack_sets": lambda: pack_sets(sets, 2),
             "feasible_order": lambda: _feasible_order(adj, 3),
         }
         assert {name: cyclic_garbage(call) for name, call in calls.items()} == {
