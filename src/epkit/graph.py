@@ -21,12 +21,12 @@ from .errors import InputError
 from .groups import (
     GroupElement,
     GroupSpec,
+    _inv,
+    _mul,
     format_element,
     identity,
-    inverse,
     is_identity,
     make_element,
-    multiply,
     parse_element,
     spec_from_json,
     spec_to_json,
@@ -204,15 +204,36 @@ def walk_vertices(g: LabeledGraph, walk: Walk) -> list[int]:
     return seq
 
 
+# vertex -> its (other end, (arc id, direction)) steps; see `step_table`
+StepTable = dict[int, tuple[tuple[int, tuple[int, int]], ...]]
+
+
+def step_table(g: LabeledGraph) -> StepTable:
+    """Each vertex's steps onto another vertex, as (other end, (arc id,
+    direction)) pairs in `g.incident` order; loops are left out. A search
+    that reads this table rather than the arcs shares one step tuple per
+    arc and direction."""
+    table = {}
+    for v in g.vertices:
+        table[v] = tuple(
+            (arc.head, (arc.id, FORWARD)) if arc.tail == v else (arc.tail, (arc.id, REVERSE))
+            for arc in g.incident(v)
+            if arc.tail != arc.head
+        )
+    return table
+
+
 def walk_value(g: LabeledGraph, walk: Walk) -> GroupElement:
-    value = identity(g.group)
-    for step in walk.steps:
-        arc = g.arc(step[0])
-        lab = arc.label if step[1] == FORWARD else inverse(arc.label)
-        if step[1] not in (FORWARD, REVERSE):
-            raise InputError(f"bad step direction {step[1]}")
-        value = multiply(value, lab)
-    return value
+    spec = g.group
+    value = identity(spec).payload
+    for arc_id, direction in walk.steps:
+        label = g.arc(arc_id).label.payload
+        if direction == REVERSE:
+            label = _inv(spec, label)
+        elif direction != FORWARD:
+            raise InputError(f"bad step direction {direction}")
+        value = _mul(spec, value, label)
+    return GroupElement(spec, value)
 
 
 def is_cycle(g: LabeledGraph, walk: Walk) -> bool:
@@ -237,10 +258,12 @@ def is_non_null_cycle(g: LabeledGraph, walk: Walk) -> bool:
     return is_cycle(g, walk) and not is_identity(walk_value(g, walk))
 
 
-def canonical_cycle(g: LabeledGraph, walk: Walk) -> tuple:
-    """Canonical form of a simple cycle, invariant under rotation and
-    reversal: the lexicographically least (vertex, arc id) pair sequence
-    over the 2L rotations of both traversal directions.
+def _canonical_key(seq: list[int], arcs: list[int]) -> tuple:
+    """Canonical form of the simple cycle that leaves seq[i] by the arc
+    arcs[i], for each i; the caller vouches that it is a simple cycle. The
+    form is invariant under rotation and reversal: the lexicographically
+    least (vertex, arc id) pair sequence over the 2L rotations of both
+    traversal directions.
 
     The vertices of a simple cycle are distinct, so every least candidate
     starts at the least vertex m, which each direction passes exactly once.
@@ -248,10 +271,6 @@ def canonical_cycle(g: LabeledGraph, walk: Walk) -> tuple:
     read from m, and the reverse order read from m, in which each vertex
     pairs with the arc that entered it. The smaller of the two is the
     answer, in O(L)."""
-    if not is_cycle(g, walk):
-        raise InputError("not a simple cycle")
-    seq = walk_vertices(g, walk)[:-1]
-    arcs = [s[0] for s in walk.steps]
     r = seq.index(min(seq))
     forward = tuple(zip(seq[r:] + seq[:r], arcs[r:] + arcs[:r]))
     # seq[r], seq[r-1], ..., seq[r+1] with arcs[r-1], arcs[r-2], ..., arcs[r]

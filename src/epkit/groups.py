@@ -10,6 +10,11 @@ carrying their spec, with a canonical payload per kind:
   (a * b)(i) = a(b(i)).
 - Product(parts): a tuple of component payloads, componentwise composition.
 
+The arithmetic itself works on raw payloads (`_mul`, `_inv`), so a search
+that multiplies many labels builds no element per step. `multiply`,
+`inverse`, `identity` and `is_identity` wrap it for elements; the identity
+of each valid spec is built once and kept.
+
 Text encodings (used in graph files): cyclic "3", symmetric "2,3,1", product
 "[a; b; ...]" with semicolons so symmetric commas nest without ambiguity.
 """
@@ -100,55 +105,61 @@ def make_element(spec: GroupSpec, raw: object) -> GroupElement:
     return GroupElement(spec, _canonical_payload(spec, raw))
 
 
-def identity(spec: GroupSpec) -> GroupElement:
-    validate_spec(spec)
+def _identity_payload(spec: GroupSpec) -> object:
     if isinstance(spec, Cyclic):
-        return GroupElement(spec, 0)
+        return 0
     if isinstance(spec, Symmetric):
-        return GroupElement(spec, tuple(range(1, spec.n + 1)))
-    return GroupElement(spec, tuple(identity(p).payload for p in spec.parts))
+        return tuple(range(1, spec.n + 1))
+    return tuple(_identity_payload(p) for p in spec.parts)
 
 
-def _check_same_spec(a: GroupElement, b: GroupElement) -> None:
-    if a.spec != b.spec:
-        raise InputError(f"group mismatch: {a.spec!r} vs {b.spec!r}")
+# spec -> its identity element, filled only for specs that validate
+_IDENTITIES: dict[GroupSpec, GroupElement] = {}
+
+
+def identity(spec: GroupSpec) -> GroupElement:
+    try:
+        return _IDENTITIES[spec]
+    except (KeyError, TypeError):  # TypeError: an unhashable, invalid spec
+        validate_spec(spec)
+    _IDENTITIES[spec] = GroupElement(spec, _identity_payload(spec))
+    return _IDENTITIES[spec]
+
+
+def _mul(spec: GroupSpec, a, b):
+    """The payload of a * b, for payloads a and b of `spec`."""
+    if isinstance(spec, Cyclic):
+        return (a + b) % spec.n
+    if isinstance(spec, Symmetric):
+        return tuple([a[i - 1] for i in b])
+    return tuple([_mul(p, x, y) for p, x, y in zip(spec.parts, a, b)])
+
+
+def _inv(spec: GroupSpec, a):
+    """The payload of the inverse of a, for a payload a of `spec`."""
+    if isinstance(spec, Cyclic):
+        return -a % spec.n
+    if isinstance(spec, Symmetric):
+        inv = [0] * spec.n
+        for i, image in enumerate(a, 1):
+            inv[image - 1] = i
+        return tuple(inv)
+    return tuple([_inv(p, x) for p, x in zip(spec.parts, a)])
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    _check_same_spec(a, b)
     spec = a.spec
-    if isinstance(spec, Cyclic):
-        return GroupElement(spec, (a.payload + b.payload) % spec.n)  # type: ignore[operator]
-    if isinstance(spec, Symmetric):
-        pa, pb = a.payload, b.payload
-        return GroupElement(spec, tuple(pa[pb[i] - 1] for i in range(spec.n)))  # type: ignore[index]
-    assert isinstance(spec, Product)
-    payload = tuple(
-        multiply(GroupElement(p, xa), GroupElement(p, xb)).payload
-        for p, xa, xb in zip(spec.parts, a.payload, b.payload)  # type: ignore[arg-type]
-    )
-    return GroupElement(spec, payload)
+    if spec is not b.spec and spec != b.spec:
+        raise InputError(f"group mismatch: {spec!r} vs {b.spec!r}")
+    return GroupElement(spec, _mul(spec, a.payload, b.payload))
 
 
 def inverse(a: GroupElement) -> GroupElement:
-    spec = a.spec
-    if isinstance(spec, Cyclic):
-        return GroupElement(spec, (-a.payload) % spec.n)  # type: ignore[operator]
-    if isinstance(spec, Symmetric):
-        images = a.payload
-        inv = [0] * spec.n
-        for i in range(spec.n):
-            inv[images[i] - 1] = i + 1  # type: ignore[index]
-        return GroupElement(spec, tuple(inv))
-    assert isinstance(spec, Product)
-    payload = tuple(
-        inverse(GroupElement(p, x)).payload for p, x in zip(spec.parts, a.payload)  # type: ignore[arg-type]
-    )
-    return GroupElement(spec, payload)
+    return GroupElement(a.spec, _inv(a.spec, a.payload))
 
 
 def is_identity(a: GroupElement) -> bool:
-    return a == identity(a.spec)
+    return a.payload == identity(a.spec).payload
 
 
 def elements(spec: GroupSpec):
@@ -173,7 +184,7 @@ def format_element(a: GroupElement) -> str:
     if isinstance(spec, Cyclic):
         return str(a.payload)
     if isinstance(spec, Symmetric):
-        return ",".join(str(i) for i in a.payload)  # type: ignore[union-attr]
+        return ",".join(str(i) for i in a.payload)
     assert isinstance(spec, Product)
     inner = "; ".join(
         format_element(GroupElement(p, x)) for p, x in zip(spec.parts, a.payload)  # type: ignore[arg-type]

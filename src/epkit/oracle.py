@@ -16,14 +16,14 @@ from typing import Callable, Container, Iterable, Optional
 from .errors import GuardExceeded, InputError
 from .graph import (
     FORWARD,
-    REVERSE,
     LabeledGraph,
+    StepTable,
     Walk,
-    canonical_cycle,
-    walk_value,
+    _canonical_key,
+    step_table,
     walk_vertices,
 )
-from .groups import is_identity
+from .groups import GroupSpec, _inv, _mul, identity
 
 
 @dataclass(frozen=True)
@@ -43,36 +43,34 @@ def _check_size(g: LabeledGraph, guards: OracleGuards) -> None:
 
 
 def simple_paths(
-    g: LabeledGraph,
+    table: StepTable,
     start: int,
     ends: Container[int],
     blocked: Iterable[int],
     emit: Callable[[int, tuple[tuple[int, int], ...]], bool],
 ) -> bool:
-    """Depth-first search over the simple paths that leave `start`.
+    """Depth-first search over the simple paths that leave `start`, on a
+    graph's `step_table`.
 
-    Arcs are tried in `g.incident` order and loops are skipped. A step onto
-    a vertex in `ends` calls emit(end, steps) and goes no further; a step
-    onto any other vertex that is neither on the path nor in `blocked`
-    extends the path. The search stops, and returns True, as soon as emit
-    returns True. It takes a callback rather than being a generator, which
-    would hand every path up through every frame of the recursion.
+    Steps are tried in table order, which is `g.incident` order without
+    loops. A step onto a vertex in `ends` calls emit(end, steps) and goes
+    no further; a step onto any other vertex that is neither on the path
+    nor in `blocked` extends the path. The search stops, and returns True,
+    as soon as emit returns True. It takes a callback rather than being a
+    generator, which would hand every path up through every frame of the
+    recursion.
     """
     closed = set(blocked)
     closed.add(start)
 
     def extend(v: int, steps: tuple[tuple[int, int], ...]) -> bool:
-        for arc in g.incident(v):
-            if arc.is_loop:
-                continue
-            forward = arc.tail == v
-            w = arc.head if forward else arc.tail
+        for w, step in table[v]:
             if w in ends:
-                if emit(w, steps + ((arc.id, FORWARD if forward else REVERSE),)):
+                if emit(w, steps + (step,)):
                     return True
             elif w not in closed:
                 closed.add(w)
-                if extend(w, steps + ((arc.id, FORWARD if forward else REVERSE),)):
+                if extend(w, steps + (step,)):
                     return True
                 closed.discard(w)
         return False
@@ -84,13 +82,38 @@ def simple_paths(
     return found
 
 
+def _step_payloads(
+    g: LabeledGraph, table: StepTable
+) -> dict[tuple[int, int], object]:
+    """The label payload of each step in a `step_table` of g, inverted for
+    a reverse step."""
+    spec = g.group
+    payload = {}
+    for row in table.values():
+        for _, step in row:
+            label = g.arc(step[0]).label.payload
+            payload[step] = label if step[1] == FORWARD else _inv(spec, label)
+    return payload
+
+
+def _path_value(
+    spec: GroupSpec, payload: dict[tuple[int, int], object], steps: tuple[tuple[int, int], ...]
+) -> object:
+    """The value payload of a non-empty step sequence, from `_step_payloads`."""
+    value = payload[steps[0]]
+    for step in steps[1:]:
+        value = _mul(spec, value, payload[step])
+    return value
+
+
 def enumerate_cycles(
     g: LabeledGraph,
     guards: OracleGuards = DEFAULT_GUARDS,
-    keep: Optional[Callable[[Walk], bool]] = None,
+    keep: Optional[Callable[[object], bool]] = None,
 ) -> list[Walk]:
     """All simple cycles, one representative each, in canonical order;
-    with `keep`, only the cycles it accepts.
+    with `keep`, only the cycles whose value payload (see `groups`) it
+    accepts.
 
     Paths from each start vertex s back to s, only visiting vertices > s in
     between, so every cycle is found exactly at its minimum vertex: once in
@@ -99,39 +122,52 @@ def enumerate_cycles(
     vertices, and two parallel arcs or one loop form a single cycle), so a
     bitmask over the arcs' positions in `g.arcs` dedupes the two directions
     while the first walk found is kept. `guards.max_cycles` counts every
-    distinct cycle, kept or not; each kept cycle gets its canonical form
+    distinct cycle, kept or not.
+
+    A cycle is recorded from tables built once per call, one entry per
+    step: its source vertex and its label payload, inverted for a reverse
+    step. Only a kept cycle becomes a `Walk` and gets its canonical form,
     once, as its sort key.
     """
     _check_size(g, guards)
+    spec = g.group
     bit = {arc.id: 1 << i for i, arc in enumerate(g.arcs)}
+    table = step_table(g)
+    source = {step: v for v, row in table.items() for _, step in row}
+    payload = _step_payloads(g, table)
     seen: set[int] = set()
     keyed: list[tuple[tuple, Walk]] = []
 
-    def record(walk: Walk) -> None:
+    def record(steps: tuple[tuple[int, int], ...]) -> None:
         arc_mask = 0
-        for arc_id, _ in walk.steps:
+        for arc_id, _ in steps:
             arc_mask |= bit[arc_id]
         if arc_mask in seen:
             return
         seen.add(arc_mask)
         if len(seen) > guards.max_cycles:
             raise GuardExceeded(f"more than {guards.max_cycles} cycles")
-        if keep is None or keep(walk):
-            keyed.append((canonical_cycle(g, walk), walk))
+        if keep is not None and not keep(_path_value(spec, payload, steps)):
+            return
+        key = _canonical_key([source[step] for step in steps], [step[0] for step in steps])
+        keyed.append((key, Walk(steps)))
 
     def close(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
         # a walk out and back along one arc is not a cycle
         if not (len(steps) == 2 and steps[0][0] == steps[1][0]):
-            record(Walk(steps))
+            record(steps)
         return False
 
     for arc in g.arcs:
         if arc.is_loop:
-            record(Walk(((arc.id, FORWARD),)))
+            step = (arc.id, FORWARD)
+            source[step] = arc.tail
+            payload[step] = arc.label.payload
+            record((step,))
 
     below: list[int] = []
     for s in g.vertices:
-        simple_paths(g, s, {s}, below, close)
+        simple_paths(table, s, {s}, below, close)
         below.append(s)
 
     # canonical forms are distinct, so the walks never decide the order
@@ -144,9 +180,8 @@ def enumerate_non_null_cycles(
 ) -> list[Walk]:
     """The cycles of `enumerate_cycles` whose value is not the identity,
     in the same order and with the same walks."""
-    return enumerate_cycles(
-        g, guards, keep=lambda w: not is_identity(walk_value(g, w))
-    )
+    e = identity(g.group).payload
+    return enumerate_cycles(g, guards, keep=lambda value: value != e)
 
 
 def _cycle_vertex_sets(g: LabeledGraph, cycles: list[Walk]) -> list[frozenset[int]]:

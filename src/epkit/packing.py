@@ -31,11 +31,11 @@ from .graph import (
     _json_key,
     blocks_and_cut_vertices,
     reach,
+    step_table,
     validate_separation,
-    walk_value,
     walk_vertices,
 )
-from .groups import is_identity
+from .groups import identity
 from .labeling import (
     _extract_non_null_from_closed,
     find_non_null_cycle,
@@ -45,6 +45,8 @@ from .labeling import (
 from .oracle import (
     DEFAULT_GUARDS,
     OracleGuards,
+    _path_value,
+    _step_payloads,
     min_hitting_set,
     pack_sets,
     simple_paths,
@@ -229,21 +231,23 @@ def enumerate_non_null_s_paths(
         raise GuardExceeded(
             f"S-path search limited to {guards.max_vertices} vertices, got {g.n}"
         )
+    spec = g.group
+    table = step_table(g)
+    payload = _step_payloads(g, table)
+    e = identity(spec).payload
     out: list[Walk] = []
     for start in sorted(s_set):
 
         def record(end: int, steps: tuple[tuple[int, int], ...]) -> bool:
-            if end > start:
-                walk = Walk(steps)
-                if not is_identity(walk_value(g, walk)):
-                    out.append(walk)
-                    if len(out) > guards.max_cycles:
-                        raise GuardExceeded(
-                            f"more than {guards.max_cycles} non-null S-paths"
-                        )
+            if end > start and _path_value(spec, payload, steps) != e:
+                out.append(Walk(steps))
+                if len(out) > guards.max_cycles:
+                    raise GuardExceeded(
+                        f"more than {guards.max_cycles} non-null S-paths"
+                    )
             return stop_at is not None and len(out) >= stop_at
 
-        if simple_paths(g, start, s_set, (), record):
+        if simple_paths(table, start, s_set, (), record):
             break
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -12,9 +13,9 @@ from epkit.graph import (
     LabeledGraph,
     Separation,
     Walk,
+    _canonical_key,
     blocks_and_cut_vertices,
     build_graph,
-    canonical_cycle,
     dump_json,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -29,6 +30,8 @@ from epkit.groups import (
     Product,
     Symmetric,
     elements,
+    identity,
+    inverse,
     is_identity,
     make_element,
     multiply,
@@ -38,6 +41,14 @@ from epkit.oracle import enumerate_cycles
 
 def z(n):
     return Cyclic(n)
+
+
+def canonical_cycle(g, walk):
+    """The canonical form of a simple cycle given as a walk: the key
+    `enumerate_cycles` sorts by, after a check that the walk is one."""
+    if not is_cycle(g, walk):
+        raise InputError("not a simple cycle")
+    return _canonical_key(walk_vertices(g, walk)[:-1], [s[0] for s in walk.steps])
 
 
 def cycle_from_canonical(g, canon):
@@ -184,6 +195,27 @@ class TestWalks:
         expected = tuple(a[binv[i] - 1] for i in range(3))
         assert value.payload == expected
         assert not is_identity(value)
+
+    def test_value_rejects_bad_steps(self):
+        g = triangle_z3()
+        for steps in (((0, 0),), ((0, 2),), ((7, FORWARD),), ((0, FORWARD), (9, REVERSE))):
+            with pytest.raises(InputError):
+                walk_value(g, Walk(steps))
+
+    def test_value_is_the_element_product(self):
+        # the payload fold against multiply and inverse on elements, for
+        # every sequence of up to three steps over a non-abelian product
+        spec = Product((z(2), Symmetric(3)))
+        g = build_graph(spec, 3, [(0, 1, (1, (2, 3, 1))), (1, 2, (0, (2, 1, 3))), (2, 2, (1, (1, 3, 2)))])
+        steps = [(a.id, d) for a in g.arcs for d in (FORWARD, REVERSE)]
+        assert walk_value(g, Walk(())) == identity(spec)
+        for length in (1, 2, 3):
+            for walk in itertools.product(steps, repeat=length):
+                expected = identity(spec)
+                for arc_id, direction in walk:
+                    label = g.arc(arc_id).label
+                    expected = multiply(expected, label if direction == FORWARD else inverse(label))
+                assert walk_value(g, Walk(walk)) == expected, walk
 
 
 class TestCycleRecognition:

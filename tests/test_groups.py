@@ -16,6 +16,7 @@ from epkit.groups import (
     Symmetric,
     elements,
     format_element,
+    identity,
     inverse,
     is_identity,
     make_element,
@@ -197,3 +198,75 @@ class TestSpecJson:
             spec_from_json({"unknown": 3})
         with pytest.raises(InputError):
             spec_from_json([1, 2])
+
+
+def written_out_product(spec, a, b):
+    """The payload of a * b by each kind's definition: addition mod n,
+    function application point by point, or part by part."""
+    if isinstance(spec, Cyclic):
+        return (a + b) % spec.n
+    if isinstance(spec, Symmetric):
+        return tuple(apply_perm(a, apply_perm(b, point)) for point in range(1, spec.n + 1))
+    return tuple(written_out_product(p, x, y) for p, x, y in zip(spec.parts, a, b))
+
+
+def written_out_inverse(spec, a):
+    """The payload of the inverse of a: the negation mod n, the permutation
+    mapping each image back to its point, or part by part."""
+    if isinstance(spec, Cyclic):
+        return (spec.n - a) % spec.n
+    if isinstance(spec, Symmetric):
+        back = {apply_perm(a, point): point for point in range(1, spec.n + 1)}
+        return tuple(back[point] for point in range(1, spec.n + 1))
+    return tuple(written_out_inverse(p, x) for p, x in zip(spec.parts, a))
+
+
+class TestPayloadArithmetic:
+    # the element helpers wrap the payload arithmetic; every pair of
+    # elements checks both against the definitions above
+    SPECS = (Cyclic(6), Symmetric(3), Symmetric(4), Product((Cyclic(2), Symmetric(3))))
+
+    def test_every_pair_matches_the_definition(self):
+        for spec in self.SPECS:
+            els = list(elements(spec))
+            e = identity(spec)
+            for a in els:
+                inv = inverse(a)
+                assert inv.spec == spec
+                assert inv.payload == written_out_inverse(spec, a.payload)
+                assert multiply(a, inv) == multiply(inv, a) == e
+                assert multiply(a, e) == multiply(e, a) == a
+                for b in els:
+                    prod = multiply(a, b)
+                    assert prod.spec == spec
+                    assert prod.payload == written_out_product(spec, a.payload, b.payload)
+                    assert is_identity(prod) == (b == inv)
+
+    def test_associative_on_every_triple(self):
+        for spec in self.SPECS:
+            els = list(elements(spec))
+            table = {(a, b): multiply(a, b) for a in els for b in els}
+            for a, b, c in itertools.product(els, repeat=3):
+                assert table[table[a, b], c] == table[a, table[b, c]]
+
+    def test_identity_of_an_invalid_spec_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(InputError):
+                identity(Cyclic(0))
+        with pytest.raises(InputError):
+            identity(Product([Cyclic(2)]))  # parts must be a tuple
+        assert identity(Cyclic(3)).payload == 0
+        assert identity(Symmetric(3)).payload == (1, 2, 3)
+
+    def test_identity_of_equal_specs_is_equal(self):
+        spec = Product((Cyclic(2), Symmetric(3)))
+        again = Product((Cyclic(2), Symmetric(3)))
+        assert identity(spec) == identity(again) == make_element(spec, (0, (1, 2, 3)))
+
+    def test_spec_mismatch_raises(self):
+        with pytest.raises(InputError):
+            multiply(make_element(Cyclic(2), 1), make_element(Cyclic(3), 1))
+        with pytest.raises(InputError):
+            multiply(make_element(Cyclic(6), 1), make_element(Symmetric(3), (2, 1, 3)))
+        # equal specs held in distinct objects still multiply
+        assert multiply(make_element(Cyclic(3), 1), make_element(Cyclic(3), 1)).payload == 2

@@ -4,24 +4,34 @@ The independent cycle counter walks over arc subsets: a subset forms a simple
 cycle exactly when every touched vertex has degree two (loops counting twice)
 and the touched arcs are connected. That has nothing in common with the DFS
 in the package, so agreement is meaningful.
+
+The enumerator records each cycle from per-step tables of payloads and
+source vertices. `reference_enumerate_cycles` records the same DFS output
+the direct way, from the walk: element `walk_value` and `canonical_cycle`.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.errors import GuardExceeded, InputError
-from epkit.graph import build_graph, walk_value, walk_vertices
-from epkit.groups import Cyclic, Symmetric, elements, is_identity
+from epkit.graph import FORWARD, Walk, build_graph, step_table, walk_value, walk_vertices
+from epkit.groups import Cyclic, Product, Symmetric, elements, is_identity
 from epkit.oracle import (
+    DEFAULT_GUARDS,
     OracleGuards,
     enumerate_cycles,
     enumerate_non_null_cycles,
     ep_predicate,
     max_packing,
     min_gfvs,
+    simple_paths,
 )
+from test_graph import canonical_cycle
 
 
 def random_graph(seed, n, m, spec):
@@ -63,6 +73,112 @@ def subset_cycle_count(g):
     return count
 
 
+def reference_enumerate_cycles(g, guards=DEFAULT_GUARDS, keep=None):
+    """`enumerate_cycles` recording each closed walk from the walk itself:
+    the same DFS, arc-set dedupe and guard, then `keep(walk)` and the
+    walk's `canonical_cycle` as its sort key."""
+    bit = {arc.id: 1 << i for i, arc in enumerate(g.arcs)}
+    seen = set()
+    keyed = []
+
+    def record(walk):
+        arc_mask = 0
+        for arc_id, _ in walk.steps:
+            arc_mask |= bit[arc_id]
+        if arc_mask in seen:
+            return
+        seen.add(arc_mask)
+        if len(seen) > guards.max_cycles:
+            raise GuardExceeded(f"more than {guards.max_cycles} cycles")
+        if keep is None or keep(walk):
+            keyed.append((canonical_cycle(g, walk), walk))
+
+    def close(_end, steps):
+        if not (len(steps) == 2 and steps[0][0] == steps[1][0]):
+            record(Walk(steps))
+        return False
+
+    for arc in g.arcs:
+        if arc.is_loop:
+            record(Walk(((arc.id, FORWARD),)))
+    table, below = step_table(g), []
+    for s in g.vertices:
+        simple_paths(table, s, {s}, below, close)
+        below.append(s)
+    keyed.sort(key=lambda pair: pair[0])
+    return [walk for _, walk in keyed]
+
+
+def reference_non_null(g, guards=DEFAULT_GUARDS):
+    return reference_enumerate_cycles(
+        g, guards, keep=lambda w: not is_identity(walk_value(g, w))
+    )
+
+
+def outcome(call):
+    """The walk list a call returns, or the guard it raised."""
+    try:
+        return call()
+    except GuardExceeded:
+        return GuardExceeded
+
+
+DIFFERENTIAL_SPECS = (Cyclic(2), Cyclic(3), Symmetric(3), Product((Cyclic(2), Symmetric(3))))
+
+
+@st.composite
+def labeled_multigraphs(draw):
+    """A graph on 1 to 7 vertices whose arcs reuse a few vertex pairs, in
+    either orientation, so that loops and parallel arcs are common."""
+    spec = draw(st.sampled_from(DIFFERENTIAL_SPECS))
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+    arcs = draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.booleans(), st.sampled_from(list(elements(spec)))),
+        max_size=12,
+    ))
+    return build_graph(
+        spec, n, [(v, u, x) if flip else (u, v, x) for (u, v), flip, x in arcs]
+    )
+
+
+class TestRecordFromTables:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(g=labeled_multigraphs(), slack=st.integers(-2, 1))
+    def test_matches_the_record_from_walks(self, g, slack):
+        cycles = enumerate_cycles(g)
+        assert cycles == reference_enumerate_cycles(g)
+        assert enumerate_non_null_cycles(g) == reference_non_null(g)
+        # a guard at, just below or far below the cycle count
+        tight = OracleGuards(max_cycles=max(0, len(cycles) + slack))
+        assert outcome(lambda: enumerate_cycles(g, tight)) == outcome(
+            lambda: reference_enumerate_cycles(g, tight)
+        )
+        assert outcome(lambda: enumerate_non_null_cycles(g, tight)) == outcome(
+            lambda: reference_non_null(g, tight)
+        )
+
+    def test_strategy_reaches_every_feature(self):
+        # loops, parallel arcs, non-abelian labels and dropped null cycles
+        # are all common among the drawn graphs
+        seen = Counter()
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(g=labeled_multigraphs())
+        def draw(g):
+            seen["graphs"] += 1
+            seen["loop"] += any(a.is_loop for a in g.arcs)
+            seen["parallel"] += len({frozenset((a.tail, a.head)) for a in g.arcs}) < g.m
+            dropped = len(enumerate_cycles(g)) > len(enumerate_non_null_cycles(g))
+            seen["dropped"] += dropped
+            seen["dropped, non-abelian"] += dropped and isinstance(g.group, Product | Symmetric)
+
+        draw()
+        assert seen["graphs"] == 100
+        assert min(seen.values()) > 10, seen
+
+
 class TestCycleEnumeration:
     def test_matches_subset_count_on_randoms(self):
         for seed in range(30):
@@ -71,7 +187,7 @@ class TestCycleEnumeration:
             assert len(enumerate_cycles(g)) == subset_cycle_count(g), f"seed {seed}"
 
     def test_each_result_is_a_cycle_once(self):
-        from epkit.graph import canonical_cycle, is_cycle
+        from epkit.graph import is_cycle
 
         g = random_graph(99, 6, 10, Cyclic(4))
         cycles = enumerate_cycles(g)
@@ -111,28 +227,28 @@ class TestCycleEnumeration:
     def test_one_canonical_form_per_cycle(self, monkeypatch):
         # the arc mask dedupes the two directions; only a kept cycle (any
         # cycle, or a non-null one) pays for its canonical form, which is
-        # also its sort key
+        # also its sort key and equals `canonical_cycle` of the kept walk
         import epkit.oracle
 
-        calls = [0]
-        real = epkit.oracle.canonical_cycle
+        keys = []
+        real = epkit.oracle._canonical_key
 
-        def counted(g, walk):
-            calls[0] += 1
-            return real(g, walk)
+        def counted(seq, arcs):
+            keys.append(real(seq, arcs))
+            return keys[-1]
 
-        monkeypatch.setattr(epkit.oracle, "canonical_cycle", counted)
+        monkeypatch.setattr(epkit.oracle, "_canonical_key", counted)
         total = dropped = 0
         for seed in range(20):
             g = random_graph(seed + 700, 6, 10, Cyclic(3))
-            calls[0] = 0
-            cycles = enumerate_cycles(g)
-            assert calls[0] == len(cycles), seed
-            calls[0] = 0
-            non_null = enumerate_non_null_cycles(g)
-            assert calls[0] == len(non_null), seed
-            total += len(cycles)
-            dropped += len(cycles) - len(non_null)
+            counts = []
+            for enumerate_ in (enumerate_cycles, enumerate_non_null_cycles):
+                keys.clear()
+                cycles = enumerate_(g)
+                assert sorted(keys) == [canonical_cycle(g, w) for w in cycles], seed
+                counts.append(len(cycles))
+            total += counts[0]
+            dropped += counts[0] - counts[1]
         assert total > 100 and dropped > 10
 
     def test_cycle_count_guard(self):

@@ -31,6 +31,7 @@ from epkit.graph import (
     Walk,
     build_graph,
     reach,
+    step_table,
     walk_value,
     walk_vertices,
 )
@@ -286,9 +287,9 @@ class TestSimplePaths:
                     got.append(Walk(steps))
                 return False
 
-            below = []
+            table, below = step_table(g), []
             for s in g.vertices:
-                simple_paths(g, s, {s}, below, close)
+                simple_paths(table, s, {s}, below, close)
                 below.append(s)
             assert got == reference_cycle_closings(g), seed
 
@@ -301,7 +302,7 @@ class TestSimplePaths:
                 emitted.append((end, steps))
                 return stop
 
-            assert simple_paths(square, 0, {2}, (), emit) is stop
+            assert simple_paths(step_table(square), 0, {2}, (), emit) is stop
             both = [(2, ((0, FORWARD), (1, FORWARD))), (2, ((3, REVERSE), (2, REVERSE)))]
             assert emitted == (both[:1] if stop else both)
 
