@@ -32,7 +32,6 @@ from .treedec import (
     TreeDecomposition,
     packing_or_cover_bounded_tw,
     tree_decomposition,
-    treewidth_exact,
     verify_packing,
 )
 from .verify import verify_certificate
@@ -82,7 +81,6 @@ __all__ = [
     "strip_null_arcs",
     "subdivided_clique",
     "tree_decomposition",
-    "treewidth_exact",
     "tw_reduction_set",
     "untangle",
     "verify_certificate",

@@ -77,14 +77,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the driver on a graph")
-    p_solve.add_argument("graph")
-    p_solve.add_argument("-k", type=int, required=True)
-    p_solve.add_argument("--tw-threshold", type=int, default=4)
-    p_solve.add_argument("--thresholds", choices=["paper", "small"], default="small")
-    p_solve.add_argument("--oracle-fallback", action="store_true")
-    p_solve.add_argument("--expansion-witness", metavar="FILE")
-    p_solve.add_argument("--td", metavar="FILE")
-    p_solve.add_argument("--out", metavar="FILE")
+    p_solve.add_argument("graph", help="graph JSON file")
+    p_solve.add_argument("-k", type=int, required=True, help="cycles to pack")
+    p_solve.add_argument("--tw-threshold", type=int, default=4, help=(
+        "width above which a witness or the fallback answers (default 4); it changes "
+        "an answer only with --expansion-witness or --oracle-fallback"))
+    p_solve.add_argument("--thresholds", choices=["paper", "small"], default="small", help=(
+        "paper: the paper's width threshold, cover budget and expansion sizes; "
+        "small (default): --tw-threshold and the construction's own floors"))
+    p_solve.add_argument("--oracle-fallback", action="store_true", help=(
+        "above the threshold at k >= 2, answer by exact search (exit 3 past 14 vertices)"))
+    p_solve.add_argument("--expansion-witness", metavar="FILE", help=(
+        "clique-expansion witness JSON; above the threshold the driver branches on it"))
+    p_solve.add_argument("--td", metavar="FILE", help=(
+        "tree decomposition JSON of the graph, used instead of min-fill's at the first level"))
+    p_solve.add_argument("--out", metavar="FILE", help="certificate file (default stdout)")
 
     p_oracle = sub.add_parser("oracle", help="exhaustive ground truth")
     p_oracle.add_argument("graph")

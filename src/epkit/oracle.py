@@ -21,7 +21,6 @@ from .graph import (
     Walk,
     _canonical_key,
     step_table,
-    walk_vertices,
 )
 from .groups import GroupSpec, _inv, _mul, identity
 
@@ -185,7 +184,9 @@ def enumerate_non_null_cycles(
 
 
 def _cycle_vertex_sets(g: LabeledGraph, cycles: list[Walk]) -> list[frozenset[int]]:
-    return [frozenset(walk_vertices(g, w)[:-1]) for w in cycles]
+    """Each cycle's vertex set: the ends of its arcs."""
+    ends = {a.id: (a.tail, a.head) for a in g.arcs}
+    return [frozenset(v for arc_id, _ in w.steps for v in ends[arc_id]) for w in cycles]
 
 
 def min_hitting_set(

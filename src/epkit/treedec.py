@@ -1,24 +1,19 @@
 """Tree decompositions and the bounded-treewidth packing-or-cover routine.
 
-The exact solver searches elimination orders by iterative deepening on the
-width: a depth-first feasibility check over eliminated-set states with failed
-states memoized, simplicial vertices eliminated eagerly, a
-minimum-degree-removal lower bound, and the min-fill order as the upper
-bound. Small graphs only; the heuristic path has no size cap.
-
-The min-fill order (Bodlaender & Koster, Treewidth computations I: upper
-bounds, 2010) eliminates a vertex of least fill-in at each step, ties going
-to the lowest vertex id. It keeps, for every vertex v, the number tri(v) of
-edges inside N(v), so fill(v) = C(deg v, 2) - tri(v); the initial counts
-take one N(u) & N(v) per edge. Eliminating v first adds each missing edge ab
-inside N(v): one N(a) & N(b) gives the common neighbours, and a, b gain that
-many edges inside their neighbourhoods while each common neighbour gains ab.
-Then v goes, and each of its neighbours loses the deg(v) - 1 edges from v to
-the now complete N(v). A lazy heap of (fill, vertex) entries gets a new entry
-only for a vertex whose fill changed. The counts are exact, so the popped
-(fill, lowest id) minimum, and with it the order, is the one a full rescan
-would choose. The pass records each vertex's neighbourhood as it is
-eliminated, and those records are the bags of the decomposition.
+Min-fill builds every decomposition; none needs to be optimal. The min-fill
+order (Bodlaender & Koster, Treewidth computations I: upper bounds, 2010)
+eliminates a vertex of least fill-in at each step, ties going to the lowest
+vertex id. It keeps, for every vertex v, the number tri(v) of edges inside
+N(v), so fill(v) = C(deg v, 2) - tri(v); the initial counts take one N(u) &
+N(v) per edge. Eliminating v first adds each missing edge ab inside N(v): one
+N(a) & N(b) gives the common neighbours, and a, b gain that many edges inside
+their neighbourhoods while each common neighbour gains ab. Then v goes, and
+each of its neighbours loses the deg(v) - 1 edges from v to the now complete
+N(v). A lazy heap of (fill, vertex) entries gets a new entry only for a
+vertex whose fill changed. The counts are exact, so the popped (fill, lowest
+id) minimum, and with it the order, is the one a full rescan would choose.
+The pass records each vertex's neighbourhood as it is eliminated, and those
+records are the bags of the decomposition.
 
 Validation is linear in the size of the decomposition plus the graph: the
 tree shape is checked by one walk down from the root, arcs by intersecting
@@ -43,7 +38,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GuardExceeded, InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError
 from .graph import (
     LabeledGraph,
     Walk,
@@ -62,7 +57,7 @@ from .labeling import (
     verify_gfvs,
 )
 
-EXACT_VERTEX_CAP = 20
+EXACT_VERTEX_CAP = 20  # read by bench/run.py's traced report; nothing in epkit uses it
 
 
 @dataclass
@@ -193,26 +188,6 @@ def td_from_json_dict(doc: dict) -> TreeDecomposition:
 
 # Elimination machinery ---------------------------------------------------------
 
-def _live_neighbors(adj: dict[int, set[int]], eliminated: frozenset[int], v: int) -> set[int]:
-    """Neighbors of v in the graph where eliminated vertices are contracted
-    away: everything outside reachable from v through eliminated vertices."""
-    out: set[int] = set()
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in seen:
-                continue
-            if w in eliminated:
-                seen.add(w)
-                stack.append(w)
-            else:
-                seen.add(w)
-                out.add(w)
-    return out
-
-
 def _min_fill_order(adj: dict[int, set[int]]) -> list[tuple[int, set[int]]]:
     """The min-fill elimination: each vertex in order with its neighbourhood
     in the filled graph at the moment it is eliminated."""
@@ -273,71 +248,6 @@ def _min_fill_order(adj: dict[int, set[int]]) -> list[tuple[int, set[int]]]:
     return elimination
 
 
-def _elimination(adj: dict[int, set[int]], order: list[int]) -> list[tuple[int, set[int]]]:
-    """Eliminate order from a copy of adj, each vertex with its neighbourhood
-    at that moment, as `_min_fill_order` records them."""
-    work = {v: set(ns) for v, ns in adj.items()}
-    elimination: list[tuple[int, set[int]]] = []
-    for v in order:
-        ns = work.pop(v)
-        for u in ns:
-            nu = work[u]
-            nu.discard(v)
-            nu |= ns
-            nu.discard(u)
-        elimination.append((v, ns))
-    return elimination
-
-
-def _mmd_lower_bound(adj: dict[int, set[int]]) -> int:
-    work = {v: set(ns) for v, ns in adj.items()}
-    best = 0
-    while work:
-        v = min(work, key=lambda u: (len(work[u]), u))
-        best = max(best, len(work[v]))
-        for u in work[v]:
-            work[u].discard(v)
-        del work[v]
-    return best
-
-
-def _feasible_order(adj: dict[int, set[int]], w: int) -> Optional[list[int]]:
-    """An elimination order of width <= w, or None. DFS over eliminated
-    sets with failure memoization and eager simplicial elimination."""
-    all_vertices = sorted(adj)
-    n = len(all_vertices)
-    failed: set[frozenset[int]] = set()
-
-    def search(eliminated: frozenset[int], prefix: list[int]) -> Optional[list[int]]:
-        remaining = [v for v in all_vertices if v not in eliminated]
-        if len(remaining) <= w + 1:
-            return prefix + remaining
-        if eliminated in failed:
-            return None
-        live = {v: _live_neighbors(adj, eliminated, v) for v in remaining}
-        # a simplicial vertex of tolerable degree can always go first
-        for v in remaining:
-            if len(live[v]) <= w and all(
-                u2 in live[u1] for u1 in live[v] for u2 in live[v] if u1 < u2
-            ):
-                return search(eliminated | {v}, prefix + [v])
-        for v in remaining:
-            if len(live[v]) <= w:
-                found = search(eliminated | {v}, prefix + [v])
-                if found is not None:
-                    return found
-        failed.add(eliminated)
-        return None
-
-    if n == 0:
-        return []
-    order = search(frozenset(), [])
-    # `search` calls itself through its closure, a reference cycle; deleting
-    # the name frees the search state now, not at the next cyclic collection
-    del search
-    return order
-
-
 def _decomposition(elimination: list[tuple[int, set[int]]]) -> TreeDecomposition:
     """Node i holds the i-th eliminated vertex with its neighbourhood; its
     parent is the node of the first of those neighbours eliminated after it."""
@@ -359,29 +269,13 @@ def _decomposition(elimination: list[tuple[int, set[int]]]) -> TreeDecomposition
     return TreeDecomposition(tuple(range(len(elimination))), parent, bags)
 
 
-def tree_decomposition(g: LabeledGraph, mode: str = "exact") -> TreeDecomposition:
-    """A valid rooted tree decomposition; exact mode has optimal width and
-    is capped at 20 vertices, heuristic mode is min-fill at any size."""
-    if mode not in ("exact", "heuristic"):
+def tree_decomposition(g: LabeledGraph, mode: str = "heuristic") -> TreeDecomposition:
+    """The min-fill tree decomposition of g, at any size; `mode` is the one
+    mode, "heuristic", kept for callers that pass it."""
+    if mode != "heuristic":
         raise InputError(f"unknown decomposition mode {mode!r}")
     adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
-    if mode == "heuristic":
-        return _decomposition(_min_fill_order(adj))
-    if g.n > EXACT_VERTEX_CAP:
-        raise GuardExceeded(
-            f"exact treewidth capped at {EXACT_VERTEX_CAP} vertices, got {g.n}"
-        )
-    upper_elimination = _min_fill_order(adj)
-    upper = max((len(ns) for _, ns in upper_elimination), default=0)
-    for w in range(_mmd_lower_bound(adj), upper):
-        order = _feasible_order(adj, w)
-        if order is not None:
-            return _decomposition(_elimination(adj, order))
-    return _decomposition(upper_elimination)
-
-
-def treewidth_exact(g: LabeledGraph) -> int:
-    return tree_decomposition(g, "exact").width
+    return _decomposition(_min_fill_order(adj))
 
 
 # Packing or cover ----------------------------------------------------------------

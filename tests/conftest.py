@@ -3,8 +3,14 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 import epkit.groups
+
+# every property runs the same examples on every run, keeps no example
+# database and has no per-example deadline; a property sets only its count
+settings.register_profile("epkit", derandomize=True, database=None, deadline=None)
+settings.load_profile("epkit")
 
 
 @pytest.fixture

@@ -1,14 +1,22 @@
 """The command-line surface: subcommands, JSON output, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.cli import _group_from_text, _int_list, main
 from epkit.errors import InputError
-from epkit.graph import graph_from_json_dict
+from epkit.generators import random_instance
+from epkit.graph import dump_json, graph_from_json_dict, graph_to_json_dict
 from epkit.groups import Cyclic, Product, Symmetric
 from epkit.packing import expansion_from_json_dict, verify_expansion
+from epkit.treedec import tree_decomposition
+from test_treedec import td_to_json_dict
 
 
 def run(capsys, *argv):
@@ -301,6 +309,19 @@ class TestSolveVerify:
         assert tw["threshold"]["bits"] > 63
 
 
+    def test_help_describes_every_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "changes an answer only with --expansion-witness or --oracle-fallback" in out
+        for text in (
+            "graph JSON file", "cycles to pack", "paper: the paper's width threshold",
+            "answer by exact search", "the driver branches on it",
+            "used instead of min-fill's", "certificate file",
+        ):
+            assert text in out
+
     def test_seed_option_is_gone(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
         with pytest.raises(SystemExit) as exc:
@@ -385,6 +406,82 @@ class TestMalformedInput:
         code, _, err = run(capsys, "verify", gpath, str(cpath))
         assert code == 2
         assert "k must be an integer" in err
+
+
+def _drop_key(data, doc):
+    del doc[data.draw(st.sampled_from(sorted(doc)))]
+
+
+def _foreign_vertex(data, doc):
+    bag = doc["bags"][data.draw(st.sampled_from(sorted(doc["bags"])))]
+    bag.append(data.draw(st.sampled_from([-1, 6, 7, 10**20])))
+
+
+def _parent_cycle(data, doc):
+    # a self-loop, or two nodes that name each other
+    a, b = (data.draw(st.sampled_from(doc["nodes"])) for _ in range(2))
+    doc["parent"][str(a)] = b
+    doc["parent"][str(b)] = a
+
+
+def _two_roots(data, doc):
+    doc["parent"][str(data.draw(st.sampled_from(doc["nodes"])))] = None
+
+
+def _wrong_type(data, doc):
+    bad = data.draw(st.sampled_from([True, False, 1.0, 0.0, "1", "0"]))
+    where = data.draw(st.sampled_from(["nodes", "parent", "bags"]))
+    if where == "nodes":
+        doc["nodes"][data.draw(st.integers(0, len(doc["nodes"]) - 1))] = bad
+    elif where == "parent":
+        doc["parent"][data.draw(st.sampled_from(sorted(doc["parent"])))] = bad
+    else:
+        bag = doc["bags"][data.draw(st.sampled_from(sorted(doc["bags"])))]
+        bag.insert(data.draw(st.integers(0, len(bag))), bad)
+
+
+def _non_decimal_key(data, doc):
+    table = doc[data.draw(st.sampled_from(["parent", "bags"]))]
+    key = data.draw(st.sampled_from(sorted(table)))
+    prefix = data.draw(st.sampled_from([" ", "+", "0x", "_"]))
+    table[data.draw(st.sampled_from([prefix + key, key + ".0", key + " ", "one"]))] = table.pop(key)
+
+
+TD_MUTATIONS = [
+    _drop_key, _foreign_vertex, _parent_cycle, _two_roots, _wrong_type, _non_decimal_key,
+]
+
+
+class TestTdProperty:
+    """`solve --td` on a mutated decomposition document of a 6-vertex graph
+    exits 0 or 2 and raises nothing."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("td")
+        graphs = []
+        for seed in range(4):
+            g = random_instance(6, 8, Cyclic(3), seed=seed)
+            gpath = root / f"g{seed}.json"
+            gpath.write_text(dump_json(graph_to_json_dict(g)))
+            graphs.append((str(gpath), td_to_json_dict(tree_decomposition(g))))
+        return root / "td.json", graphs
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_mutated_document_exits_cleanly(self, paths, data):
+        tdpath, graphs = paths
+        gpath, valid = data.draw(st.sampled_from(graphs))
+        doc = copy.deepcopy(valid)
+        for mutate in data.draw(st.lists(st.sampled_from(TD_MUTATIONS), max_size=3)):
+            if {"nodes", "parent", "bags"} <= set(doc) and all(doc.values()):
+                mutate(data, doc)
+        tdpath.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", gpath, "-k", "2", "--td", str(tdpath)])
+        assert code in (0, 2)
+        if doc == valid:
+            assert code == 0
 
 
 class TestOracle:

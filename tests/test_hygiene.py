@@ -6,6 +6,8 @@
   definition, or is exported through `epkit.__all__`. A reference counts
   only in the defining module, or in a module of src/epkit that imports the
   name from it; a local variable of the same name elsewhere is not one.
+- Every Hypothesis property runs under the profile `conftest` loads and
+  sets only its own `max_examples`.
 
 A reference is a name read in code; an import alone is not one, since an
 import that nothing reads fails the first check. The allowlist names the
@@ -15,6 +17,8 @@ definitions kept without a caller, each with its reason.
 import ast
 import pathlib
 from collections import Counter
+
+from hypothesis import settings
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "epkit"
@@ -109,6 +113,15 @@ def test_allowlist_is_current():
     missing = set(definitions_without_caller(trees, exported(trees)))
     assert set(ALLOWED_WITHOUT_CALLER) <= missing
     assert all(reason for reason in ALLOWED_WITHOUT_CALLER.values())
+
+
+def test_properties_set_only_their_count():
+    current = settings()
+    assert current.derandomize and current.database is None and current.deadline is None
+    for name, tree in modules(TESTS).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "settings":
+                assert [k.arg for k in node.keywords] in ([], ["max_examples"]), name
 
 
 def test_checks_catch_planted_faults():

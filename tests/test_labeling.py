@@ -351,7 +351,7 @@ class TestGfvsCheck:
             )
             assert verify_gfvs(g, subset).verified == expected
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_property_matches_cycles_left_after_deletion(self, data):
         # the check labels V - X in place; deleting X and enumerating every

@@ -144,7 +144,7 @@ def labeled_multigraphs(draw):
 
 
 class TestRecordFromTables:
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(g=labeled_multigraphs(), slack=st.integers(-2, 1))
     def test_matches_the_record_from_walks(self, g, slack):
         cycles = enumerate_cycles(g)
@@ -164,7 +164,7 @@ class TestRecordFromTables:
         # are all common among the drawn graphs
         seen = Counter()
 
-        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @settings(max_examples=100)
         @given(g=labeled_multigraphs())
         def draw(g):
             seen["graphs"] += 1

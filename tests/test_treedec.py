@@ -1,7 +1,9 @@
 """Tree decompositions and packing-or-cover on them.
 
-Exact widths are checked against a brute-force minimum over all elimination
-orders, written here from the definition with its own contraction routine.
+Min-fill widths are checked against a brute-force minimum over all
+elimination orders, written here from the definition with its own
+contraction routine. Decompositions from seeded random elimination orders
+put shapes min-fill does not make in front of the validator and the DP.
 """
 
 import heapq
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import epkit.labeling
 import epkit.treedec
 from epkit.certificates import Certificate, certificate_to_json_dict
-from epkit.errors import GuardExceeded, InputError
+from epkit.errors import InputError
 from epkit.generators import odd_cycles, random_instance, zm_grid
 from epkit.graph import build_graph, walk_vertices
 from epkit.groups import Cyclic, Symmetric, elements
@@ -29,7 +31,6 @@ from epkit.treedec import (
     packing_or_cover_bounded_tw,
     td_from_json_dict,
     tree_decomposition,
-    treewidth_exact,
     validate_tree_decomposition,
     verify_packing,
 )
@@ -115,13 +116,37 @@ def brute_force_treewidth(g):
     )
 
 
+def random_order_decomposition(g, seed):
+    """The decomposition of a seeded random elimination order of g, built
+    by the library's `_decomposition` from each vertex's neighbourhood in
+    the filled graph when it is eliminated."""
+    work = adjacency_sets(g)
+    order = sorted(work)
+    random.Random(seed).shuffle(order)
+    elimination = []
+    for v in order:
+        ns = work.pop(v)
+        for u in ns:
+            work[u].discard(v)
+            work[u] |= ns - {u}
+        elimination.append((v, ns))
+    return epkit.treedec._decomposition(elimination)
+
+
+def min_fill_width(g):
+    td = tree_decomposition(g)
+    validate_tree_decomposition(g, td)
+    return td.width
+
+
 class TestExactWidth:
     def test_tree_has_width_one(self):
         g = plain(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-        assert treewidth_exact(g) == 1
+        assert min_fill_width(g) == brute_force_treewidth(g) == 1
 
     def test_single_vertex(self):
-        assert treewidth_exact(plain(1, [])) == 0
+        g = plain(1, [])
+        assert min_fill_width(g) == brute_force_treewidth(g) == 0
 
     def test_empty_graph(self):
         td = tree_decomposition(plain(0, []))
@@ -131,23 +156,17 @@ class TestExactWidth:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_clique_width(self, k):
         g = plain(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
-        assert treewidth_exact(g) == k - 1
-
-    def test_four_by_four_grid(self):
-        # min over all 16! elimination orders is out of reach here; the value
-        # below was computed once by the solver and pinned after checking the
-        # standard bounds by hand (>= 4 via bramble, <= 4 via column order)
-        assert treewidth_exact(grid(4, 4)) == 4
+        assert min_fill_width(g) == brute_force_treewidth(g) == k - 1
 
     def test_cycle_has_width_two(self):
         g = plain(6, [(i, (i + 1) % 6) for i in range(6)])
-        assert treewidth_exact(g) == 2
+        assert min_fill_width(g) == brute_force_treewidth(g) == 2
 
     def test_matches_brute_force(self):
         for seed in range(30):
             n = 3 + seed % 4
             g = random_plain(seed, n, 0.5)
-            assert treewidth_exact(g) == brute_force_treewidth(g), f"seed {seed}"
+            assert min_fill_width(g) == brute_force_treewidth(g), f"seed {seed}"
 
     def test_disconnected_graph(self):
         g = plain(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
@@ -155,14 +174,19 @@ class TestExactWidth:
         validate_tree_decomposition(g, td)
         assert td.width == 2
 
-    def test_exact_cap(self):
-        g = plain(21, [(i, i + 1) for i in range(20)])
-        with pytest.raises(GuardExceeded):
-            tree_decomposition(g, "exact")
-
     def test_unknown_mode(self):
-        with pytest.raises(InputError):
-            tree_decomposition(plain(2, [(0, 1)]), "optimal")
+        # min-fill is the one mode; "exact" is unknown like any other
+        for mode in ("optimal", "exact"):
+            with pytest.raises(InputError, match="unknown decomposition mode"):
+                tree_decomposition(plain(2, [(0, 1)]), mode)
+
+    def test_default_mode_is_min_fill(self):
+        g = random_plain(9, 12, 0.3)
+        td = tree_decomposition(g)
+        assert td == tree_decomposition(g, "heuristic")
+        assert [td.bags[i] for i in td.nodes] == [
+            frozenset(ns | {v}) for v, ns in _min_fill_order(adjacency_sets(g))
+        ]
 
 
 class TestHeuristic:
@@ -181,7 +205,7 @@ class TestHeuristic:
     def test_width_at_least_exact(self):
         for seed in range(12):
             g = random_plain(300 + seed, 7, 0.5)
-            assert tree_decomposition(g, "heuristic").width >= treewidth_exact(g)
+            assert tree_decomposition(g, "heuristic").width >= brute_force_treewidth(g)
 
 
 def reference_validate(g, td):
@@ -334,7 +358,7 @@ class TestValidator:
         verdicts = set()
         for seed in range(60):
             g = random_labeled(seed, 4 + seed % 9, 5 + seed % 11, Z2)
-            td = tree_decomposition(g, "heuristic" if seed % 2 else "exact")
+            td = tree_decomposition(g) if seed % 2 else random_order_decomposition(g, seed)
             parent, bags = dict(td.parent), dict(td.bags)
             node = rng.choice(td.nodes)
             kind = seed % 3
@@ -636,7 +660,7 @@ class TestMinFillOrder:
     def test_grids(self, rows, cols):
         self.check(grid(rows, cols))
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_property_matches_rescan(self, data):
         # vertices from `core` on are isolated; the cliques tie many fills
@@ -667,22 +691,8 @@ class TestMinFillOrder:
         assert [v for v, _ in elimination] == order
         td = tree_decomposition(g, "heuristic")
         assert [td.bags[i] for i in td.nodes] == bags
-        # exact mode's upper bound is the largest recorded neighbourhood
+        # the order's width is its largest recorded neighbourhood
         assert max(len(ns) for _, ns in elimination) == order_width(adj, order)
-
-    def test_exact_upper_bound_is_min_fill_width(self, monkeypatch):
-        # with every search failing, exact mode tries each width from the
-        # lower bound below the min-fill width, then keeps min-fill's order
-        tried = []
-        monkeypatch.setattr(epkit.treedec, "_feasible_order", lambda adj, w: tried.append(w))
-        for seed in range(40):
-            g = random_plain(700 + seed, 2 + seed % 15, (seed % 6 + 2) / 10)
-            adj = adjacency_sets(g)
-            width = order_width(adj, reference_min_fill_order(adj))
-            tried.clear()
-            td = tree_decomposition(g, "exact")
-            assert tried == list(range(epkit.treedec._mmd_lower_bound(adj), width))
-            assert td.width == width
 
 
 def jumbled(td, rng, steps):
@@ -721,13 +731,16 @@ class TestSweepMatchesRounds:
             want = reference_packing_or_cover(g, k, td)
             assert certificate_bytes(k, got) == certificate_bytes(k, want)
 
-    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-    def test_small_random(self, mode):
+    @pytest.mark.parametrize("shape", ["random-order", "heuristic"])
+    def test_small_random(self, shape):
         for seed in range(40):
             spec = self.SPECS[seed % 4]
             n = 5 + seed % 10
             g = random_labeled(2000 + seed, n, n + seed % 9, spec)
-            self.check(g, tree_decomposition(g, mode))
+            if shape == "heuristic":
+                self.check(g, tree_decomposition(g))
+            else:
+                self.check(g, random_order_decomposition(g, seed))
 
     def test_larger_heuristic(self):
         for seed in range(8):
@@ -762,8 +775,9 @@ class TestSweepMatchesRounds:
         for seed in range(240):
             n = 5 + seed % 20
             g = random_labeled(seed, n, n + seed % 11, self.SPECS[seed % 4])
-            for mode in ("exact", "heuristic") if n <= 12 else ("heuristic",):
-                self.check(g, tree_decomposition(g, mode), ks=range(1, 7))
+            self.check(g, tree_decomposition(g), ks=range(1, 7))
+            if n <= 12:
+                self.check(g, random_order_decomposition(g, seed), ks=range(1, 7))
         assert false_alarms >= 5
 
     def test_jumbled_decompositions(self):
@@ -776,7 +790,7 @@ class TestSweepMatchesRounds:
             validate_tree_decomposition(g, td)
             self.check(g, td, ks=range(1, 7))
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_property_certificate_bytes_match(self, data):
         spec = data.draw(st.sampled_from(self.SPECS))
@@ -791,7 +805,10 @@ class TestSweepMatchesRounds:
             )
         )
         g = build_graph(spec, n, arcs)
-        td = tree_decomposition(g, data.draw(st.sampled_from(["exact", "heuristic"])))
+        if data.draw(st.booleans()):
+            td = tree_decomposition(g)
+        else:
+            td = random_order_decomposition(g, data.draw(st.integers(0, 2**16)))
         if data.draw(st.booleans()):
             td = jumbled(td, random.Random(data.draw(st.integers(0, 2**16))), n)
         k = data.draw(st.integers(1, 6))
