@@ -19,7 +19,7 @@ from .errors import GuardExceeded, InputError, InternalInvariantError
 from .generators import generate
 from .graph import Separation, dump_json, graph_to_json_dict, load_graph
 from .groups import Cyclic, GroupSpec, Product, Symmetric
-from .oracle import enumerate_non_null_cycles, max_packing, min_gfvs
+from .oracle import _max_packing, _min_gfvs, enumerate_non_null_cycles
 from .packing import expansion_from_json_dict, expansion_to_json_dict
 from .solver import DriverConfig, solve
 from .treedec import td_from_json_dict
@@ -171,11 +171,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = load_graph(args.graph)
+    cycles = enumerate_non_null_cycles(g)
     doc = {
-        "non_null_cycles": len(enumerate_non_null_cycles(g)),
-        "min_gfvs": min_gfvs(g),
-        "packing_integral": len(max_packing(g, 1)),
-        "packing_half_integral": len(max_packing(g, 2)),
+        "non_null_cycles": len(cycles),
+        "min_gfvs": _min_gfvs(g, cycles),
+        "packing_integral": len(_max_packing(g, cycles, 1)),
+        "packing_half_integral": len(_max_packing(g, cycles, 2)),
     }
     _emit(dump_json(doc), args.out)
     return EXIT_OK

@@ -396,6 +396,15 @@ def _json_key(key: object, what: str) -> int:
     return int(key)
 
 
+def _one_key_per_id(read: dict, source: dict, what: str) -> dict:
+    """`read`, a dict built with one entry per key of the JSON object
+    `source`, when no two of those keys name the same id. Keys such as
+    "1" and "01" do, and the later one would silently win."""
+    if len(read) != len(source):
+        raise InputError(f"{what} names one id under two keys")
+    return read
+
+
 def graph_from_json_dict(data: object) -> LabeledGraph:
     if not isinstance(data, dict):
         raise InputError("graph JSON must be an object")

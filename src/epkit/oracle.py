@@ -116,12 +116,12 @@ def enumerate_cycles(
 
     Paths from each start vertex s back to s, only visiting vertices > s in
     between, so every cycle is found exactly at its minimum vertex: once in
-    each traversal direction, or once if it is a loop. A simple cycle is
-    fixed by its arc set (its arcs form one closed trail through distinct
-    vertices, and two parallel arcs or one loop form a single cycle), so a
-    bitmask over the arcs' positions in `g.arcs` dedupes the two directions
-    while the first walk found is kept. `guards.max_cycles` counts every
-    distinct cycle, kept or not.
+    each traversal direction, or once if it is a loop. The search tries the
+    steps of `table[s]` in order, so of the two walks of a cycle it finds
+    first the one whose first arc comes earlier at s; that walk is kept and
+    its reverse, which ends on that arc, is skipped. A walk out and back
+    along one arc starts and ends on the same arc, and is no cycle.
+    `guards.max_cycles` counts every cycle, kept or not.
 
     A cycle is recorded from tables built once per call, one entry per
     step: its source vertex and its label payload, inverted for a reverse
@@ -130,30 +130,26 @@ def enumerate_cycles(
     """
     _check_size(g, guards)
     spec = g.group
-    bit = {arc.id: 1 << i for i, arc in enumerate(g.arcs)}
     table = step_table(g)
     source = {step: v for v, row in table.items() for _, step in row}
     payload = _step_payloads(g, table)
-    seen: set[int] = set()
+    count = 0
     keyed: list[tuple[tuple, Walk]] = []
 
     def record(steps: tuple[tuple[int, int], ...]) -> None:
-        arc_mask = 0
-        for arc_id, _ in steps:
-            arc_mask |= bit[arc_id]
-        if arc_mask in seen:
-            return
-        seen.add(arc_mask)
-        if len(seen) > guards.max_cycles:
+        nonlocal count
+        count += 1
+        if count > guards.max_cycles:
             raise GuardExceeded(f"more than {guards.max_cycles} cycles")
         if keep is not None and not keep(_path_value(spec, payload, steps)):
             return
         key = _canonical_key([source[step] for step in steps], [step[0] for step in steps])
         keyed.append((key, Walk(steps)))
 
+    first: dict[int, int] = {}  # arc id -> its position in table[s]
+
     def close(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
-        # a walk out and back along one arc is not a cycle
-        if not (len(steps) == 2 and steps[0][0] == steps[1][0]):
+        if first[steps[0][0]] < first[steps[-1][0]]:
             record(steps)
         return False
 
@@ -166,6 +162,7 @@ def enumerate_cycles(
 
     below: list[int] = []
     for s in g.vertices:
+        first = {step[0]: i for i, (_, step) in enumerate(table[s])}
         simple_paths(table, s, {s}, below, close)
         below.append(s)
 
@@ -229,7 +226,12 @@ def min_gfvs(
     Deterministic: the search takes the cycles in canonical order. The
     whole vertex set meets every cycle, so a cap of n always finds one.
     """
-    cycles = enumerate_non_null_cycles(g, guards)
+    return _min_gfvs(g, enumerate_non_null_cycles(g, guards))
+
+
+def _min_gfvs(g: LabeledGraph, cycles: list[Walk]) -> list[int]:
+    """`min_gfvs` on g's non-null cycles as `enumerate_non_null_cycles`
+    lists them."""
     return list(min_hitting_set(_cycle_vertex_sets(g, cycles), g.n))
 
 
@@ -249,7 +251,16 @@ def pack_sets(
     `capacity`; it is an argument of the search, so a backtrack restores
     it. A set fits exactly when `mask & full == 0`, so the bound that
     counts the remaining sets that still fit one at a time costs one AND
-    per set."""
+    per set.
+
+    Before that count, a cheaper bound: `room`, the free slots left
+    (capacity times the size of the union, less the sizes of the chosen
+    sets), also an argument of the search. Every set from position idx on
+    has at least `least[idx]` vertices, so fewer than (slack + 1) times
+    that many free slots cannot hold the slack + 1 further sets that
+    beating the best needs. Both bounds cut only branches that cannot
+    produce a larger subfamily, and the search meets the others in the
+    same order, so it returns the same subfamily as without them."""
     if capacity < 1:
         raise InputError("capacity must be at least 1")
     position = {
@@ -257,13 +268,18 @@ def pack_sets(
     }
     bits = [[position[v] for v in vs] for vs in vertex_sets]
     masks = [sum(1 << b for b in set_bits) for set_bits in bits]
+    least = [len(set_bits) for set_bits in bits]
+    for i in range(len(least) - 2, -1, -1):
+        least[i] = min(least[i], least[i + 1])
     usage = [0] * len(position)
     best: list[int] = []
 
-    def can_beat(idx: int, slack: int, full: int) -> bool:
+    def can_beat(idx: int, slack: int, full: int, room: int) -> bool:
         """Could at least `slack` + 1 more sets still fit individually?"""
         if slack < 0:
             return True
+        if room < (slack + 1) * least[idx]:
+            return False
         count = 0
         for mask in masks[idx:]:
             if not mask & full:
@@ -274,7 +290,7 @@ def pack_sets(
 
     chosen: list[int] = []
 
-    def search(idx: int, full: int) -> bool:
+    def search(idx: int, full: int, room: int) -> bool:
         # skipping a set advances idx in place; recursion depth is the
         # number of chosen sets, not the number of given ones
         nonlocal best
@@ -285,7 +301,7 @@ def pack_sets(
                 if len(chosen) > len(best):
                     best = list(chosen)
                 return stop_at is not None and len(best) >= stop_at
-            if not can_beat(idx, len(best) - len(chosen), full):
+            if not can_beat(idx, len(best) - len(chosen), full, room):
                 return False
             if not masks[idx] & full:
                 grown = full
@@ -294,14 +310,14 @@ def pack_sets(
                     if usage[b] == capacity:
                         grown |= 1 << b
                 chosen.append(idx)
-                if search(idx + 1, grown):
+                if search(idx + 1, grown, room - len(bits[idx])):
                     return True
                 chosen.pop()
                 for b in bits[idx]:
                     usage[b] -= 1
             idx += 1
 
-    search(0, 0)
+    search(0, 0, capacity * len(position))
     # `search` calls itself through its closure, a reference cycle; deleting
     # the name frees the search state now, not at the next cyclic collection
     del search
@@ -325,7 +341,17 @@ def max_packing(
     # `pack_sets` checks this too, but only after the enumeration
     if capacity < 1:
         raise InputError("capacity must be at least 1")
-    cycles = enumerate_non_null_cycles(g, guards)
+    return _max_packing(g, enumerate_non_null_cycles(g, guards), capacity, stop_at)
+
+
+def _max_packing(
+    g: LabeledGraph,
+    cycles: list[Walk],
+    capacity: int,
+    stop_at: Optional[int] = None,
+) -> list[Walk]:
+    """`max_packing` on g's non-null cycles as `enumerate_non_null_cycles`
+    lists them."""
     sets = _cycle_vertex_sets(g, cycles)
     order = sorted(range(len(cycles)), key=lambda i: (len(sets[i]), i))
     chosen = pack_sets([sets[j] for j in order], capacity, stop_at)
@@ -343,6 +369,7 @@ def ep_predicate(
     does."""
     if k < 1 or p < 0:
         raise InputError("need k >= 1 and p >= 0")
-    if len(max_packing(g, 2, stop_at=k, guards=guards)) >= k:
+    cycles = enumerate_non_null_cycles(g, guards)
+    if len(_max_packing(g, cycles, 2, stop_at=k)) >= k:
         return True
-    return len(min_gfvs(g, guards)) <= p
+    return len(_min_gfvs(g, cycles)) <= p

@@ -29,6 +29,7 @@ from .graph import (
     _json_int,
     _json_int_list,
     _json_key,
+    _one_key_per_id,
     blocks_and_cut_vertices,
     reach,
     step_table,
@@ -168,14 +169,14 @@ def expansion_from_json_dict(doc: dict) -> CliqueExpansion:
     for key in ("supernodes", "tree_edges", "edge_map", "centers"):
         if key not in doc or not isinstance(doc[key], dict):
             raise InputError(f"expansion document needs object field '{key}'")
-    supernodes = {
+    supernodes = _one_key_per_id({
         _json_key(mv, "supernodes key"): frozenset(_json_int_list(vs, f"supernode {mv}"))
         for mv, vs in doc["supernodes"].items()
-    }
-    tree_edges = {
+    }, doc["supernodes"], "'supernodes'")
+    tree_edges = _one_key_per_id({
         _json_key(mv, "tree_edges key"): tuple(_json_int_list(a, f"tree_edges {mv}"))
         for mv, a in doc["tree_edges"].items()
-    }
+    }, doc["tree_edges"], "'tree_edges'")
     edge_map: dict[tuple[int, int], int] = {}
     for key, arc_id in doc["edge_map"].items():
         ends = key.split(",") if isinstance(key, str) else ()
@@ -183,10 +184,11 @@ def expansion_from_json_dict(doc: dict) -> CliqueExpansion:
             raise InputError(f"edge_map key {key!r} is not 'u,v'")
         u, v = (_json_key(end, "edge_map key") for end in ends)
         edge_map[(min(u, v), max(u, v))] = _json_int(arc_id, f"edge_map {key}")
-    centers = {
+    _one_key_per_id(edge_map, doc["edge_map"], "'edge_map'")
+    centers = _one_key_per_id({
         _json_key(mv, "centers key"): _json_int(c, f"center {mv}")
         for mv, c in doc["centers"].items()
-    }
+    }, doc["centers"], "'centers'")
     return CliqueExpansion(supernodes, tree_edges, edge_map, centers)
 
 

@@ -31,7 +31,7 @@ from .labeling import (
     is_clean,
     verify_gfvs,
 )
-from .oracle import max_packing, min_gfvs
+from .oracle import _max_packing, _min_gfvs, enumerate_non_null_cycles
 from .packing import (
     CliqueExpansion,
     _restrict_expansion,
@@ -162,13 +162,14 @@ def _oracle_fallback(
     g: LabeledGraph, k: int, reason: str, trail: list[dict]
 ) -> PackingCertificate | GfvsCertificate:
     trail.append({"step": "oracle-fallback", "fallback": True, "reason": reason})
-    cycles = max_packing(g, capacity=2, stop_at=k)
+    non_null = enumerate_non_null_cycles(g)
+    cycles = _max_packing(g, non_null, capacity=2, stop_at=k)
     if len(cycles) >= k:
         cert = PackingCertificate(tuple(cycles[:k]), "half-integral")
         if not verify_packing(g, cert):
             raise InternalInvariantError("oracle packing fails verification")
         return cert
-    return GfvsCertificate(tuple(min_gfvs(g)), True)
+    return GfvsCertificate(tuple(_min_gfvs(g, non_null)), True)
 
 
 def _restrict_to_free_supernodes(

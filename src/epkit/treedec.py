@@ -45,6 +45,7 @@ from .graph import (
     _json_int,
     _json_int_list,
     _json_key,
+    _one_key_per_id,
     is_non_null_cycle,
     walk_vertices,
 )
@@ -175,14 +176,14 @@ def td_from_json_dict(doc: dict) -> TreeDecomposition:
     for key in ("parent", "bags"):
         if not isinstance(doc[key], dict):
             raise InputError(f"'{key}' must be an object keyed by node id")
-    parent: dict[int, Optional[int]] = {
+    parent: dict[int, Optional[int]] = _one_key_per_id({
         _json_key(key, "node key"): None if p is None else _json_int(p, "parent entry")
         for key, p in doc["parent"].items()
-    }
-    bags: dict[int, frozenset[int]] = {
+    }, doc["parent"], "'parent'")
+    bags: dict[int, frozenset[int]] = _one_key_per_id({
         _json_key(key, "node key"): frozenset(_json_int_list(bag, f"bag {key}"))
         for key, bag in doc["bags"].items()
-    }
+    }, doc["bags"], "'bags'")
     return TreeDecomposition(tuple(nodes), parent, bags)
 
 

@@ -301,6 +301,53 @@ class TestSolveVerify:
         assert code == 2
         assert "integer" in err or "must be a list" in err
 
+    # Each document below is valid once the later of two keys that name one
+    # id wins, so only the reader can refuse it.
+    @pytest.mark.parametrize(
+        "td",
+        [
+            {
+                "nodes": [0, 1],
+                "parent": {"0": None, "1": 7, "01": 0},
+                "bags": {"0": [0, 1, 2], "1": [0]},
+            },
+            {"nodes": [0], "parent": {"0": None}, "bags": {"0": [0], "-0": [0, 1, 2]}},
+        ],
+        ids=["parent-leading-zero", "bag-minus-zero"],
+    )
+    def test_repeated_td_id_is_input_error(self, tmp_path, capsys, td):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
+        tdpath = tmp_path / "td.json"
+        tdpath.write_text(json.dumps(td))
+        code, _, err = run(capsys, "solve", gpath, "-k", "1", "--td", str(tdpath))
+        assert code == 2
+        assert "names one id under two keys" in err
+
+    @pytest.mark.parametrize(
+        "field, key, twin",
+        [
+            ("supernodes", "1", "01"),
+            ("tree_edges", "2", "002"),
+            ("edge_map", "0,1", "1,0"),
+            ("edge_map", "0,1", "00,1"),
+            ("centers", "0", "-0"),
+        ],
+        ids=["supernode", "tree-edges", "edge-reversed", "edge-leading-zero", "center"],
+    )
+    def test_repeated_expansion_id_is_input_error(self, tmp_path, capsys, field, key, twin):
+        gpath = tmp_path / "g.json"
+        wpath = tmp_path / "w.json"
+        run(capsys, "gen", "subdivided_clique", "--ell", "4",
+            "--out", str(gpath), "--witness-out", str(wpath))
+        argv = ["solve", str(gpath), "-k", "1", "--tw-threshold", "2",
+                "--expansion-witness", str(wpath)]
+        doc = json.loads(wpath.read_text())
+        doc[field][twin] = doc[field][key]
+        wpath.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "names one id under two keys" in err
+
     def test_paper_mode(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
         code, out, _ = run(capsys, "solve", gpath, "-k", "1", "--thresholds", "paper")
@@ -447,8 +494,17 @@ def _non_decimal_key(data, doc):
     table[data.draw(st.sampled_from([prefix + key, key + ".0", key + " ", "one"]))] = table.pop(key)
 
 
+def _repeated_id(data, doc):
+    # a second key for a node already named, with the same value: read with
+    # the later key winning, the document would still be the valid one
+    table = doc[data.draw(st.sampled_from(["parent", "bags"]))]
+    key = data.draw(st.sampled_from(sorted(table)))
+    table["-0" if key == "0" else "0" + key] = copy.deepcopy(table[key])
+
+
 TD_MUTATIONS = [
     _drop_key, _foreign_vertex, _parent_cycle, _two_roots, _wrong_type, _non_decimal_key,
+    _repeated_id,
 ]
 
 
@@ -473,18 +529,31 @@ class TestTdProperty:
         tdpath, graphs = paths
         gpath, valid = data.draw(st.sampled_from(graphs))
         doc = copy.deepcopy(valid)
+        applied = set()
         for mutate in data.draw(st.lists(st.sampled_from(TD_MUTATIONS), max_size=3)):
             if {"nodes", "parent", "bags"} <= set(doc) and all(doc.values()):
                 mutate(data, doc)
+                applied.add(mutate)
         tdpath.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["solve", gpath, "-k", "2", "--td", str(tdpath)])
         assert code in (0, 2)
         if doc == valid:
             assert code == 0
+        # no later mutation takes a repeated id away
+        if _repeated_id in applied:
+            assert code == 2
 
 
 class TestOracle:
+    def test_enumerates_once(self, tmp_path, capsys, cycle_enumerations):
+        # the cycle count, the cover and both packings share one enumeration
+        gpath = write_graph(tmp_path, "g.json", ["gen", "escher_wall", "--height", "2"], capsys)
+        code, out, _ = run(capsys, "oracle", gpath)
+        assert code == 0
+        assert json.loads(out)["packing_half_integral"] == 3
+        assert cycle_enumerations == [1]
+
     def test_fields(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, "g.json", ["gen", "escher_wall", "--height", "2"], capsys)
         code, out, _ = run(capsys, "oracle", gpath)

@@ -6,8 +6,11 @@ and the touched arcs are connected. That has nothing in common with the DFS
 in the package, so agreement is meaningful.
 
 The enumerator records each cycle from per-step tables of payloads and
-source vertices. `reference_enumerate_cycles` records the same DFS output
+source vertices, and keeps the direction whose first arc comes earlier at
+the start vertex. `reference_enumerate_cycles` records the same DFS output
 the direct way, from the walk: element `walk_value` and `canonical_cycle`.
+It keeps the slow definition of the direction too: a bitmask over each
+walk's arcs, so that the first walk found of each arc set is kept.
 """
 
 import itertools
@@ -75,8 +78,9 @@ def subset_cycle_count(g):
 
 def reference_enumerate_cycles(g, guards=DEFAULT_GUARDS, keep=None):
     """`enumerate_cycles` recording each closed walk from the walk itself:
-    the same DFS, arc-set dedupe and guard, then `keep(walk)` and the
-    walk's `canonical_cycle` as its sort key."""
+    the same DFS and guard, an arc-set dedupe in place of the first-arc
+    rule, then `keep(walk)` and the walk's `canonical_cycle` as its sort
+    key."""
     bit = {arc.id: 1 << i for i, arc in enumerate(g.arcs)}
     seen = set()
     keyed = []
@@ -225,7 +229,7 @@ class TestCycleEnumeration:
         enumerate_cycles(g, OracleGuards(max_vertices=15))
 
     def test_one_canonical_form_per_cycle(self, monkeypatch):
-        # the arc mask dedupes the two directions; only a kept cycle (any
+        # one direction of each cycle is recorded; only a kept cycle (any
         # cycle, or a non-null one) pays for its canonical form, which is
         # also its sort key and equals `canonical_cycle` of the kept walk
         import epkit.oracle
@@ -353,6 +357,12 @@ class TestEpPredicate:
     def test_clean_graph(self):
         g = build_graph(Cyclic(2), 3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
         assert ep_predicate(g, 1, 0)
+
+    def test_packing_and_cover_share_one_enumeration(self, cycle_enumerations):
+        triangle = build_graph(Cyclic(2), 3, [(0, 1, 1), (1, 2, 0), (2, 0, 0)])
+        # k = 2 finds no packing, so the cover side runs too
+        assert ep_predicate(triangle, 2, 1)
+        assert cycle_enumerations == [1]
 
     def test_bad_parameters(self):
         g = build_graph(Cyclic(2), 1, [])

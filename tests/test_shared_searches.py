@@ -10,15 +10,20 @@ S-path order feeds the disjoint-path search, and the first cycle direction
 found is the one a certificate prints.
 
 Cycle enumeration and the packing search have fast paths of their own: one
-canonical form per cycle, an arc-set dedupe and saturation bitmasks. Their
-references dedupe and sort by the all-rotations canonical form of
-`test_graph` and track vertex usage in a dict, as the definitions read.
-`pack_sets` is also checked against a brute force over subfamilies.
+canonical form per cycle, a first-arc rule for the direction kept,
+saturation bitmasks and a free-slot bound. Their references dedupe and
+sort by the all-rotations canonical form of `test_graph` and track vertex
+usage in a dict, as the definitions read. `pack_sets` is also checked
+against a brute force over subfamilies, and against `reference_pack_sets`,
+the same search bounded by its count of fitting sets alone, index for
+index and for the number of search frames.
 """
 
 import gc
 import itertools
 import random
+import sys
+import types
 from collections import Counter
 
 import networkx as nx
@@ -44,6 +49,7 @@ from epkit.groups import (
 from epkit.oracle import (
     _cycle_vertex_sets,
     enumerate_cycles,
+    enumerate_non_null_cycles,
     max_packing,
     min_gfvs,
     min_hitting_set,
@@ -449,7 +455,138 @@ def brute_force_packing_size(vertex_sets, capacity):
     return 0
 
 
+def reference_pack_sets(vertex_sets, capacity, stop_at=None):
+    """`pack_sets` with no free-slot bound: the include-first search that
+    prunes a branch only when too few of the remaining sets still fit one
+    at a time."""
+    position = {v: i for i, v in enumerate(sorted(frozenset().union(*vertex_sets)))}
+    bits = [[position[v] for v in vs] for vs in vertex_sets]
+    masks = [sum(1 << b for b in set_bits) for set_bits in bits]
+    usage = [0] * len(position)
+    best = []
+    chosen = []
+
+    def can_beat(idx, slack, full):
+        if slack < 0:
+            return True
+        count = 0
+        for mask in masks[idx:]:
+            if not mask & full:
+                count += 1
+                if count > slack:
+                    return True
+        return False
+
+    def search(idx, full):
+        nonlocal best
+        while True:
+            if stop_at is not None and len(best) >= stop_at:
+                return True
+            if idx == len(masks):
+                if len(chosen) > len(best):
+                    best = list(chosen)
+                return stop_at is not None and len(best) >= stop_at
+            if not can_beat(idx, len(best) - len(chosen), full):
+                return False
+            if not masks[idx] & full:
+                grown = full
+                for b in bits[idx]:
+                    usage[b] += 1
+                    if usage[b] == capacity:
+                        grown |= 1 << b
+                chosen.append(idx)
+                if search(idx + 1, grown):
+                    return True
+                chosen.pop()
+                for b in bits[idx]:
+                    usage[b] -= 1
+            idx += 1
+
+    search(0, 0)
+    return best
+
+
+@st.composite
+def set_families(draw):
+    """Up to 10 sets over 8 vertices, drawn from a pool of at most 6, so
+    that repeated sets are common; in any order of size, empty ones
+    included."""
+    pool = draw(st.lists(st.frozensets(st.integers(0, 7), max_size=6), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=10))
+
+
+def search_frames(search_code, call):
+    """call's result and the number of frames of `search_code` it ran."""
+    frames = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is search_code:
+            frames[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, frames[0]
+
+
+def inner_search(function):
+    """The code object of the `search` defined inside function."""
+    return next(
+        c for c in function.__code__.co_consts
+        if isinstance(c, types.CodeType) and c.co_name == "search"
+    )
+
+
 class TestPackSets:
+    @settings(max_examples=400)
+    @given(
+        family=set_families(),
+        capacity=st.integers(1, 3),
+        stop_at=st.none() | st.integers(1, 3),
+    )
+    def test_property_matches_reference(self, family, capacity, stop_at):
+        assert pack_sets(family, capacity, stop_at) == reference_pack_sets(
+            family, capacity, stop_at
+        )
+
+    def test_families_have_repeats_empty_sets_and_mixed_sizes(self):
+        seen = Counter()
+
+        @settings(max_examples=100)
+        @given(family=set_families())
+        def draw(family):
+            sizes = [len(vs) for vs in family]
+            seen["families"] += 1
+            seen["repeat"] += len(set(family)) < len(family)
+            seen["empty set"] += 0 in sizes
+            seen["not by size"] += sizes != sorted(sizes)
+
+        draw()
+        assert seen["families"] == 100
+        assert min(seen.values()) > 10, seen
+
+    def test_free_slot_bound_halves_the_search(self):
+        # the packing families of `max_packing`: each graph's non-null
+        # cycles, by size and then canonical order
+        fast, slow = inner_search(pack_sets), inner_search(reference_pack_sets)
+        totals = Counter()
+        for seed in range(40):
+            g = packing_instance(seed)
+            sets = _cycle_vertex_sets(g, enumerate_non_null_cycles(g))
+            family = sorted(sets, key=len)
+            for capacity in (1, 2):
+                got, frames = search_frames(fast, lambda: pack_sets(family, capacity))
+                want, reference_frames = search_frames(
+                    slow, lambda: reference_pack_sets(family, capacity)
+                )
+                assert got == want, (seed, capacity)
+                assert frames <= reference_frames, (seed, capacity)
+                totals["fast"] += frames
+                totals["reference"] += reference_frames
+        assert 2 * totals["fast"] <= totals["reference"], totals
+
     @settings(max_examples=300)
     @given(
         family=st.lists(

@@ -552,6 +552,16 @@ class TestSolveWallCase:
         assert dp["result"] == "cover"
         assert dp["cover_size"] <= dp["bound"]
 
+    def test_fallback_cover_shares_one_enumeration(self, cycle_enumerations):
+        # the wall packs only 3 cycles half-integrally, so at k = 4 the
+        # fallback's packing search fails and its cover search runs
+        w = escher_wall(2)
+        cert = solve(w, 4, DriverConfig(tw_threshold=2, oracle_fallback=True))
+        assert verify_certificate(w, cert) == (True, "")
+        assert cert.kind == "gfvs"
+        assert any(t["step"] == "oracle-fallback" for t in cert.trail)
+        assert cycle_enumerations == [1]
+
     def test_fallback_packs_the_wall(self):
         w = escher_wall(2)
         cert = solve(w, 2, DriverConfig(tw_threshold=2, oracle_fallback=True))
