@@ -6,6 +6,7 @@ input, 3 a size guard was exceeded. All output is deterministic JSON.
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -32,10 +33,12 @@ EXIT_GUARD = 3
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
+    """Comma-separated ASCII decimals: int() alone would also read "1_0"
+    and non-ASCII digits."""
+    tokens = [tok.strip() for tok in text.split(",") if tok != ""]
+    if not all(re.fullmatch(r"-?[0-9]+", tok) for tok in tokens):
         raise InputError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _group_from_text(text: str) -> GroupSpec:
@@ -43,7 +46,7 @@ def _group_from_text(text: str) -> GroupSpec:
     parts = []
     for token in text.lower().split("*"):
         token = token.strip()
-        if len(token) > 1 and token[0] in ("z", "s") and token[1:].isdigit():
+        if re.fullmatch(r"[zs][0-9]+", token):
             size = int(token[1:])
             parts.append(Cyclic(size) if token[0] == "z" else Symmetric(size))
         else:

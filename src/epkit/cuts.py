@@ -146,20 +146,12 @@ class _SplitNetwork:
     def sink_coreach(self) -> frozenset:
         """The nodes that can still reach the sink in the residual digraph;
         read after an `augment` that ran to a max flow."""
-        rev: dict[tuple, list] = {}
-        for a in self.cap:
-            for b, c in self.cap[a].items():
+        rev: dict[tuple, list] = {node: [] for node in self.cap}
+        for a, out in self.cap.items():
+            for b, c in out.items():
                 if c > 0:
-                    rev.setdefault(b, []).append(a)
-        coreach = {_SINK}
-        stack = [_SINK]
-        while stack:
-            node = stack.pop()
-            for prev in rev.get(node, ()):
-                if prev not in coreach:
-                    coreach.add(prev)
-                    stack.append(prev)
-        return frozenset(coreach)
+                    rev[b].append(a)
+        return reach(rev, [_SINK])
 
 
 def max_disjoint_paths(g: LabeledGraph, a: Iterable[int], b: Iterable[int]) -> int:

@@ -415,6 +415,10 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
         raise InputError(f"graph JSON missing key {missing}") from None
     if "vertices" in data:
         vertices = _json_int_list(data["vertices"], "graph JSON vertices")
+        if len(set(vertices)) != len(vertices):
+            raise InputError("graph JSON vertices repeat an id")
+        if "n" in data and _json_int(data["n"], "graph JSON n") != len(vertices):
+            raise InputError("graph JSON n differs from the length of vertices")
     else:
         vertices = list(range(_json_int(data.get("n", 0), "graph JSON n")))
     vertex_set = set(vertices)

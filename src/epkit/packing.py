@@ -309,35 +309,23 @@ def _restrict_expansion(eta: CliqueExpansion, keep: list[int]) -> CliqueExpansio
 def _tree_path_steps(
     g: LabeledGraph, arc_ids: Iterable[int], start: int, goal: int
 ) -> tuple[tuple[int, int], ...]:
-    """Steps from start to goal using only the given (tree) arcs."""
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for arc_id in sorted(arc_ids):
-        arc = g.arc(arc_id)
-        adj.setdefault(arc.tail, []).append((arc.head, arc.id, FORWARD))
-        adj.setdefault(arc.head, []).append((arc.tail, arc.id, REVERSE))
+    """Steps from start to goal using only the given (tree) arcs: the one
+    simple path between them. The search recurses once per step, and the
+    caller's graph has passed the S-path duality's 14-vertex guard."""
     if start == goal:
         return ()
-    parent: dict[int, tuple[int, int, int]] = {}
-    queue = [start]
-    seen = {start}
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for w, arc_id, direction in adj.get(u, []):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (u, arc_id, direction)
-                queue.append(w)
-    if goal not in parent:
+    table: dict[int, list[tuple[int, tuple[int, int]]]] = {start: []}
+    for arc_id in arc_ids:
+        arc = g.arc(arc_id)
+        table.setdefault(arc.tail, []).append((arc.head, (arc.id, FORWARD)))
+        table.setdefault(arc.head, []).append((arc.tail, (arc.id, REVERSE)))
+    found: list[tuple[tuple[int, int], ...]] = []
+    # emit keeps the first path to goal and stops the search there
+    if not simple_paths(
+        table, start, {goal}, (), lambda _, steps: found.append(steps) or True
+    ):
         raise InternalInvariantError("tree arcs do not connect the endpoints")
-    steps: list[tuple[int, int]] = []
-    v = goal
-    while v != start:
-        u, arc_id, direction = parent[v]
-        steps.append((arc_id, direction))
-        v = u
-    return tuple(reversed(steps))
+    return found[0]
 
 
 def _close_path_through_trees(

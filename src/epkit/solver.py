@@ -1,20 +1,22 @@
 """The packing-or-cover driver.
 
-Control flow per level: strip arcs that lie on no non-null cycle, then
-take a tree decomposition and measure its width. Above the threshold, a
-supplied clique-expansion witness runs the expansion branch, which yields
-a packing, an irrelevant vertex to delete, or a separation to recurse
-behind. Every other level goes to the bounded-treewidth dynamic program
-at whatever width it has: it returns k disjoint non-null cycles or a
-cover of at most (k-1)(w+1) vertices, so the threshold only decides which
-branch runs. When enabled, the exhaustive oracle stands in for that
-program above the threshold at k >= 2, and for the clique branch where
-it cannot settle its central block; the trail marks both.
+Control flow: `_solve` runs one level, and when that level names an
+irrelevant vertex v, one more level on G - v. A level strips arcs that lie
+on no non-null cycle, takes a tree decomposition, measures its width and
+routes once. Above the threshold, a supplied clique-expansion witness runs
+the expansion branch, which yields a packing, an irrelevant vertex, or a
+separation to recurse behind; where it cannot settle its central block, the
+level routes on as if it had no witness. When enabled, the exhaustive
+oracle answers above the threshold at k >= 2; the trail marks it `block`
+after the expansion branch and `wall` otherwise. Every other level goes to
+the bounded-treewidth dynamic program at whatever width it has: it returns
+k disjoint non-null cycles or a cover of at most (k-1)(w+1) vertices, so
+the threshold only decides which branch runs.
 
-Cover certificates are re-verified at every lift. When a vertex deleted as
-irrelevant turns out to be needed by the cover (the equivalence guarantee
-is for the predicate, not for any particular witness set), it is added
-back; the trail records each such repair.
+Cover certificates are re-verified at every lift. When the vertex deleted
+as irrelevant turns out to be needed by the cover (the equivalence
+guarantee is for the predicate, not for any particular witness set), it is
+added back; the trail records the repair.
 """
 
 from dataclasses import dataclass
@@ -225,77 +227,69 @@ def _solve(
     td: Optional[TreeDecomposition],
 ) -> tuple[PackingCertificate | GfvsCertificate, tuple[dict, ...]]:
     trail: list[dict] = []
-    current = g
-    deletions: list[tuple[LabeledGraph, int]] = []
-
-    while True:
-        stripped = strip_null_arcs(current)
-        trail.append(
-            {
-                "step": "strip",
-                "removed": sorted(
-                    set(a.id for a in current.arcs) - set(a.id for a in stripped.arcs)
-                ),
-            }
-        )
-        # the strip keeps an arc only if it lies on a non-null cycle, so
-        # the stripped graph is clean exactly when it has no arcs
-        if not stripped.arcs:
-            trail.append({"step": "clean", "cover": []})
-            outcome: PackingCertificate | GfvsCertificate = GfvsCertificate((), True)
-            break
-
-        threshold = (
-            paper_tw_threshold(k)
-            if cfg.thresholds_mode == "paper"
-            else cfg.tw_threshold
-        )
-        if td is not None:
-            validate_tree_decomposition(stripped, td)
-            decomposition = td
-        else:
-            decomposition = tree_decomposition(stripped, "heuristic")
-        trail.append(
-            {
-                "step": "treewidth",
-                "width": decomposition.width,
-                "threshold": _report_int(threshold),
-            }
-        )
-        above = decomposition.width > threshold
-        if above and expansion is not None:
-            result = _expansion_branch(
-                stripped, k, cfg, expansion, decomposition, trail
-            )
-        elif above and k > 1 and cfg.oracle_fallback:
-            result = _oracle_fallback(stripped, k, "wall", trail)
-        else:
-            result = _bounded_tw_branch(stripped, k, decomposition, trail)
-        if isinstance(result, (PackingCertificate, GfvsCertificate)):
-            outcome = result
-            break
-        if isinstance(result, int):
-            # irrelevant vertex: delete and restart this level
-            deletions.append((current, result))
-            trail.append({"step": "irrelevant", "vertex": result})
-            current = current.delete_vertices({result})
-            expansion = None
-            td = None
-            continue
-        outcome = _separation_step(stripped, k, cfg, result, trail)
-        break
-
+    outcome = _level(g, k, cfg, expansion, td, trail)
+    vertex = None
+    if isinstance(outcome, int):
+        # an irrelevant vertex; the level on g - v has no witness, so it
+        # answers with a certificate
+        vertex = outcome
+        trail.append({"step": "irrelevant", "vertex": vertex})
+        outcome = _level(g.delete_vertices({vertex}), k, cfg, None, None, trail)
     if isinstance(outcome, GfvsCertificate):
         cover = frozenset(outcome.vertices)
-        added: list[int] = []
-        for before, vertex in reversed(deletions):
-            if not verify_gfvs(before, cover).verified:
-                cover = cover | {vertex}
-                added.append(vertex)
-        if added:
-            trail.append({"step": "cover-repair", "added_back": sorted(added)})
+        if vertex is not None and not verify_gfvs(g, cover).verified:
+            cover |= {vertex}
+            trail.append({"step": "cover-repair", "added_back": [vertex]})
         outcome = GfvsCertificate(tuple(sorted(cover)), True)
     return outcome, tuple(trail)
+
+
+def _level(
+    g: LabeledGraph,
+    k: int,
+    cfg: DriverConfig,
+    expansion: Optional[CliqueExpansion],
+    td: Optional[TreeDecomposition],
+    trail: list[dict],
+) -> PackingCertificate | GfvsCertificate | int:
+    """Strip g, measure the width and route: a certificate, or an
+    irrelevant vertex (int) from the expansion branch."""
+    stripped = strip_null_arcs(g)
+    trail.append(
+        {
+            "step": "strip",
+            "removed": sorted(
+                set(a.id for a in g.arcs) - set(a.id for a in stripped.arcs)
+            ),
+        }
+    )
+    # the strip keeps an arc only if it lies on a non-null cycle, so the
+    # stripped graph is clean exactly when it has no arcs
+    if not stripped.arcs:
+        trail.append({"step": "clean", "cover": []})
+        return GfvsCertificate((), True)
+
+    threshold = (
+        paper_tw_threshold(k) if cfg.thresholds_mode == "paper" else cfg.tw_threshold
+    )
+    if td is None:
+        td = tree_decomposition(stripped, "heuristic")
+    else:
+        validate_tree_decomposition(stripped, td)
+    trail.append(
+        {"step": "treewidth", "width": td.width, "threshold": _report_int(threshold)}
+    )
+    above = td.width > threshold
+    if above and expansion is not None:
+        result = _expansion_branch(stripped, k, cfg, expansion, trail)
+        if result is not None:
+            return result
+    # the clique branch settles every central block at k = 1, so a block
+    # it leaves unsettled falls back here only at k >= 2
+    if above and k > 1 and cfg.oracle_fallback:
+        reason = "wall" if expansion is None else "block"
+        return _oracle_fallback(stripped, k, reason, trail)
+    return _bounded_tw_branch(stripped, k, td, trail)
 
 
 def _bounded_tw_branch(
@@ -323,14 +317,12 @@ def _expansion_branch(
     k: int,
     cfg: DriverConfig,
     eta: CliqueExpansion,
-    td: TreeDecomposition,
     trail: list[dict],
-) -> PackingCertificate | GfvsCertificate | Separation | int:
+) -> PackingCertificate | GfvsCertificate | int | None:
     """Run the clique branch on a supplied expansion witness. Returns a
-    certificate, a separation, or an irrelevant vertex (int). Where the
-    branch cannot settle its central block (`block`), the oracle answers
-    when enabled, and otherwise the bounded-treewidth dynamic program on
-    td, the level's decomposition."""
+    certificate, possibly from recursing behind a separation, an
+    irrelevant vertex (int), or None where the branch cannot settle its
+    central block."""
     if not verify_expansion(g, eta, eta.order):
         raise InputError(
             "supplied expansion does not verify against the stripped graph"
@@ -338,9 +330,7 @@ def _expansion_branch(
     trail.append({"step": "expansion", "source": "witness", "order": eta.order})
     result = clique_branch_separation(g, k, eta, thresholds=cfg.thresholds_mode)
     if result is None:
-        if cfg.oracle_fallback:
-            return _oracle_fallback(g, k, "block", trail)
-        return _bounded_tw_branch(g, k, td, trail)
+        return None
     if isinstance(result, PackingCertificate):
         trail.append({"step": "clique-branch", "result": "packing"})
         return result
@@ -361,7 +351,7 @@ def _expansion_branch(
                 )
             except InputError as exc:
                 trail.append({"step": "irrelevant-unavailable", "reason": str(exc)})
-    return result
+    return _separation_step(g, k, cfg, result, trail)
 
 
 def _separation_step(

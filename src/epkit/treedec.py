@@ -47,6 +47,7 @@ from .graph import (
     _json_key,
     _one_key_per_id,
     is_non_null_cycle,
+    reach,
     walk_vertices,
 )
 from .groups import identity
@@ -130,13 +131,7 @@ def _checked_children(
     # parent links form a tree exactly when every node is reached walking
     # down from the root; the nodes missed sit on parent cycles
     kids = td.children()
-    reached = 1
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        reached += len(kids[n])
-        stack.extend(kids[n])
-    if reached != len(td.nodes):
+    if len(reach(kids, [root])) != len(td.nodes):
         raise InputError("parent links contain a cycle")
     vertex_set = set(g.vertices)
     for n, bag in td.bags.items():

@@ -37,14 +37,16 @@ class TestHelpers:
     def test_int_list(self):
         assert _int_list("0,4,2") == [0, 4, 2]
         assert _int_list("7") == [7]
-        with pytest.raises(InputError):
-            _int_list("1,x")
+        # int() alone reads "1_0" as 10 and Arabic-Indic or superscript digits
+        for bad in ("1,x", "0,1_0", "\u0663", "1,\u00b2"):
+            with pytest.raises(InputError):
+                _int_list(bad)
 
     def test_group_from_text(self):
         assert _group_from_text("z3") == Cyclic(3)
         assert _group_from_text("s4") == Symmetric(4)
         assert _group_from_text("z2*s3") == Product((Cyclic(2), Symmetric(3)))
-        for bad in ("q5", "z", "3", "z2**s3"):
+        for bad in ("q5", "z", "3", "z2**s3", "z\u00b2", "s\u0663", "z2*z\u00b2"):
             with pytest.raises(InputError):
                 _group_from_text(bad)
 
@@ -400,12 +402,15 @@ class TestMalformedInput:
             {"group": {"cyclic": True}, "arcs": []},
             {"group": {"symmetric": True}, "arcs": []},
             {"group": {"product": [{"cyclic": 2}, {"cyclic": True}]}, "arcs": []},
+            {"n": 3, "vertices": [0, 1, 1]},
+            {"n": 5, "vertices": [0, 1]},
         ],
         ids=[
             "arc-string-vertex", "arc-float-vertex", "arc-bool-vertex",
             "arc-float-tail", "n-string", "n-bool", "n-float", "vertex-bool",
             "vertex-float", "vertices-string", "arc-ids-string", "arc-id-bool",
             "arc-id-float", "cyclic-bool", "symmetric-bool", "product-part-bool",
+            "vertices-repeated", "n-not-vertices-length",
         ],
     )
     def test_graph_is_input_error(self, tmp_path, capsys, change):

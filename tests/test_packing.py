@@ -11,8 +11,10 @@ import random
 import networkx as nx
 import pytest
 
-from epkit.errors import GuardExceeded, InputError
+from epkit.errors import GuardExceeded, InputError, InternalInvariantError
 from epkit.graph import (
+    FORWARD,
+    REVERSE,
     Separation,
     build_graph,
     validate_separation,
@@ -30,6 +32,7 @@ from epkit.oracle import (
 from epkit.packing import (
     CliqueExpansion,
     SPathDualityResult,
+    _tree_path_steps,
     clique_branch_irrelevant,
     clique_branch_separation,
     enumerate_non_null_s_paths,
@@ -497,6 +500,112 @@ class TestCliqueBranchSeparation:
         first = clique_branch_separation(g, 2, eta, thresholds="small")
         second = clique_branch_separation(g, 2, eta, thresholds="small")
         assert first == second
+
+    @pytest.mark.parametrize("seed", range(14))
+    def test_k1_always_settles(self, seed):
+        """The solver sends a central block this branch leaves unsettled
+        to its fallbacks only at k >= 2, which rests on k = 1 always
+        answering: on the K8 fixtures above and a clean one, with random
+        handles and pendant pairs on the core, each odd or even."""
+        rng = random.Random(seed)
+        fixtures = [
+            [(0, 1, 1)],
+            [(0, 1, 1), (4, 5, 1)],
+            [(0, 8, 0), (8, 1, 1), (2, 9, 0), (9, 3, 1)],
+            [(0, 8, 0), (8, 1, 1), (1, 9, 0), (9, 2, 1), (0, 10, 0), (10, 2, 1)],
+            [(7, 8, 0), (8, 9, 0), (8, 9, 1)],
+            [(7, 8, 0), (8, 9, 0), (8, 9, 1), (6, 10, 0), (10, 11, 0), (10, 11, 1)],
+            [(0, 8, 0), (8, 1, 0)],
+        ]
+        extra = list(fixtures[seed % len(fixtures)])
+        nxt = 1 + max([7] + [max(u, v) for u, v, _ in extra])
+        # the S-path search behind the branch stops at 14 vertices
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(8), 2)
+            if nxt >= 13:
+                break
+            odd = rng.randint(0, 1)
+            if rng.random() < 0.5:  # a handle between two core vertices
+                extra += [(u, nxt, 0), (nxt, v, odd)]
+                nxt += 1
+            else:  # a pendant parallel pair behind one core vertex
+                extra += [(u, nxt, 0), (nxt, nxt + 1, 0), (nxt, nxt + 1, odd)]
+                nxt += 2
+        g = k8_plus(extra)
+        result = clique_branch_separation(
+            g, 1, singleton_expansion(g, range(8)), thresholds="small"
+        )
+        assert result is not None
+
+
+def reference_tree_path_steps(g, arc_ids, start, goal):
+    """The slow definition: breadth-first search over the given arcs from
+    start, then the parent links walked back from goal."""
+    adj = {}
+    for arc_id in sorted(arc_ids):
+        arc = g.arc(arc_id)
+        adj.setdefault(arc.tail, []).append((arc.head, arc.id, FORWARD))
+        adj.setdefault(arc.head, []).append((arc.tail, arc.id, REVERSE))
+    if start == goal:
+        return ()
+    parent = {}
+    queue = [start]
+    seen = {start}
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for w, arc_id, direction in adj.get(u, []):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = (u, arc_id, direction)
+                queue.append(w)
+    if goal not in parent:
+        raise InternalInvariantError("tree arcs do not connect the endpoints")
+    steps = []
+    v = goal
+    while v != start:
+        u, arc_id, direction = parent[v]
+        steps.append((arc_id, direction))
+        v = u
+    return tuple(reversed(steps))
+
+
+class TestTreePathSteps:
+    def test_matches_reference_on_random_trees(self):
+        """Random trees of 1 to 12 vertices, arcs in either orientation,
+        inside a graph with non-tree and parallel arcs; a tenth of the
+        cases lose one tree arc, so the endpoints may be disconnected."""
+        rng = random.Random(5)
+        disconnected = 0
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            total = n + rng.randint(0, 3)
+            names = rng.sample(range(total), total)
+            arcs = []
+            for v in range(1, n):
+                u = rng.randrange(v)
+                pair = (names[u], names[v])
+                arcs.append((*(pair if rng.random() < 0.5 else pair[::-1]), rng.randint(0, 1)))
+            tree_ids = list(range(len(arcs)))
+            for _ in range(rng.randint(0, 2 * total)):
+                arcs.append((rng.randrange(total), rng.randrange(total), rng.randint(0, 1)))
+            order = rng.sample(range(len(arcs)), len(arcs))
+            g = build_graph(Z2, total, [arcs[i] for i in order])
+            tree_ids = [order.index(i) for i in tree_ids]
+            rng.shuffle(tree_ids)
+            if tree_ids and rng.random() < 0.1:
+                tree_ids.pop()
+            start, goal = names[rng.randrange(n)], names[rng.randrange(n)]
+            try:
+                want = reference_tree_path_steps(g, tree_ids, start, goal)
+            except InternalInvariantError:
+                disconnected += 1
+                with pytest.raises(InternalInvariantError):
+                    _tree_path_steps(g, tree_ids, start, goal)
+                continue
+            assert _tree_path_steps(g, tree_ids, start, goal) == want
+        assert disconnected > 10
 
 
 def irrelevant_fixture():

@@ -474,6 +474,33 @@ class TestSolveExpansionBranch:
         assert cert.kind == "packing"
         assert verify_certificate(g, cert) == (True, "")
 
+    @pytest.mark.parametrize("oracle_fallback", [False, True])
+    def test_one_expansion_branch_and_no_witness_after_deletion(
+        self, monkeypatch, oracle_fallback
+    ):
+        g, eta = gated_core()
+        branches, levels = [], []
+        real_branch, real_level = epkit.solver._expansion_branch, epkit.solver._level
+
+        def branch(*args):
+            branches.append(args)
+            return real_branch(*args)
+
+        def level(g, k, cfg, expansion, td, trail):
+            levels.append((g.vertices, expansion, td))
+            return real_level(g, k, cfg, expansion, td, trail)
+
+        monkeypatch.setattr(epkit.solver, "_expansion_branch", branch)
+        monkeypatch.setattr(epkit.solver, "_level", level)
+        cert = solve(g, 2, DriverConfig(oracle_fallback=oracle_fallback), expansion=eta)
+        assert len(branches) == 1
+        assert cert.trail[4] == {"step": "irrelevant", "vertex": 4}
+        assert levels == [
+            (g.vertices, eta, None),
+            (g.delete_vertices({4}).vertices, None, None),
+        ]
+        assert verify_certificate(g, cert) == (True, "")
+
     def test_deleting_reported_vertex_preserves_answer(self):
         g, eta = gated_core()
         cert = solve(g, 2, DriverConfig(oracle_fallback=True), expansion=eta)
@@ -575,6 +602,15 @@ class TestSolveWallCase:
         cert = solve(w, 4, DriverConfig(tw_threshold=2, oracle_fallback=True))
         assert cert.kind == "gfvs"
         assert verify_certificate(w, cert) == (True, "")
+
+    def test_fallback_is_not_taken_at_k1(self):
+        # the program packs one cycle at any width, so k = 1 never needs
+        # the oracle
+        w = escher_wall(2)
+        cert = solve(w, 1, DriverConfig(tw_threshold=2, oracle_fallback=True))
+        assert cert.trail[1]["width"] > cert.trail[1]["threshold"]
+        assert [t["step"] for t in cert.trail][2:] == ["bounded-treewidth"]
+        assert cert.kind == "packing"
 
 
 class TestPaperMode:
