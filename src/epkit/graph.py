@@ -267,15 +267,17 @@ def _canonical_key(seq: list[int], arcs: list[int]) -> tuple:
 
     The vertices of a simple cycle are distinct, so every least candidate
     starts at the least vertex m, which each direction passes exactly once.
-    Only the two rotations that start at m are built: the walk's own order
-    read from m, and the reverse order read from m, in which each vertex
-    pairs with the arc that entered it. The smaller of the two is the
-    answer, in O(L)."""
+    Two rotations start at m: the walk's own order read from m, and the
+    reverse order read from m, in which each vertex pairs with the arc that
+    entered it. They differ already in their first pair, whose arc is the
+    one that leaves m, arcs[r], or the one that enters it, arcs[r-1]; a
+    loop is the one case where these are equal, and its two rotations are
+    equal too. So only the smaller rotation is built, in O(L)."""
     r = seq.index(min(seq))
-    forward = tuple(zip(seq[r:] + seq[:r], arcs[r:] + arcs[:r]))
+    if arcs[r] <= arcs[r - 1]:
+        return tuple(zip(seq[r:] + seq[:r], arcs[r:] + arcs[:r]))
     # seq[r], seq[r-1], ..., seq[r+1] with arcs[r-1], arcs[r-2], ..., arcs[r]
-    backward = tuple(zip(seq[r::-1] + seq[:r:-1], arcs[r - 1::-1] + arcs[:r - 1:-1]))
-    return min(forward, backward)
+    return tuple(zip(seq[r::-1] + seq[:r:-1], arcs[r - 1::-1] + arcs[:r - 1:-1]))
 
 
 # Separations ----------------------------------------------------------------
@@ -420,7 +422,10 @@ def graph_from_json_dict(data: object) -> LabeledGraph:
         if "n" in data and _json_int(data["n"], "graph JSON n") != len(vertices):
             raise InputError("graph JSON n differs from the length of vertices")
     else:
-        vertices = list(range(_json_int(data.get("n", 0), "graph JSON n")))
+        n = _json_int(data.get("n", 0), "graph JSON n")
+        if n < 0:
+            raise InputError(f"graph JSON n must be non-negative, got {n}")
+        vertices = list(range(n))
     vertex_set = set(vertices)
     if not isinstance(raw_arcs, list):
         raise InputError("graph JSON arcs must be a list")

@@ -114,14 +114,25 @@ def enumerate_cycles(
     with `keep`, only the cycles whose value payload (see `groups`) it
     accepts.
 
-    Paths from each start vertex s back to s, only visiting vertices > s in
-    between, so every cycle is found exactly at its minimum vertex: once in
-    each traversal direction, or once if it is a loop. The search tries the
-    steps of `table[s]` in order, so of the two walks of a cycle it finds
-    first the one whose first arc comes earlier at s; that walk is kept and
-    its reverse, which ends on that arc, is skipped. A walk out and back
-    along one arc starts and ends on the same arc, and is no cycle.
-    `guards.max_cycles` counts every cycle, kept or not.
+    Every cycle is found at its minimum vertex s, on paths back to s that
+    visit only vertices > s in between. The search tries the steps of
+    `table[s]` in order, and from the step at position i it records a walk
+    only if the walk comes back to s on an arc at a later position. So of
+    the two walks of a cycle only the one whose first arc comes earlier at
+    s is recorded, and a walk out and back along one arc, which is no
+    cycle, never is. `guards.max_cycles` counts every recorded cycle, kept
+    by `keep` or not.
+
+    The search goes only where a recorded cycle can still close. Once the
+    step at position i has been tried, its arc is deleted, as no later walk
+    from s may leave or come back on it; the vertices below s are deleted
+    too. A cycle recorded from the step at position i has degree 2 at
+    each of its vertices in the graph that is left, so it lies in that
+    graph's 2-core. The search peels the core as it goes and blocks every
+    vertex outside it: `live[v]` counts v's steps onto vertices still in
+    the core, over arcs not deleted, and a vertex with fewer than 2 leaves.
+    A start s stops once fewer than 2 of its steps are live. The peeling
+    costs O(n + m) per call in all.
 
     A cycle is recorded from tables built once per call, one entry per
     step: its source vertex and its label payload, inverted for a reverse
@@ -146,13 +157,6 @@ def enumerate_cycles(
         key = _canonical_key([source[step] for step in steps], [step[0] for step in steps])
         keyed.append((key, Walk(steps)))
 
-    first: dict[int, int] = {}  # arc id -> its position in table[s]
-
-    def close(_end: int, steps: tuple[tuple[int, int], ...]) -> bool:
-        if first[steps[0][0]] < first[steps[-1][0]]:
-            record(steps)
-        return False
-
     for arc in g.arcs:
         if arc.is_loop:
             step = (arc.id, FORWARD)
@@ -160,11 +164,56 @@ def enumerate_cycles(
             payload[step] = arc.label.payload
             record((step,))
 
-    below: list[int] = []
+    live = {v: len(row) for v, row in table.items()}
+    dead: set[int] = set()
+    deleted: set[int] = set()  # arc ids
+
+    def peel(v: int) -> None:
+        """Take v out of the core, and with it every vertex whose live
+        steps fall below 2."""
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u in dead:
+                continue
+            dead.add(u)
+            for w, (arc_id, _) in table[u]:
+                if w not in dead and arc_id not in deleted:
+                    live[w] -= 1
+                    if live[w] < 2:
+                        stack.append(w)
+
+    for v in g.vertices:
+        if live[v] < 2:
+            peel(v)
+
+    position: dict[int, int]  # arc id -> its position in table[s]
+    at: int  # the position in table[s] of the step being tried
+    first: tuple[int, int]  # that step
+
+    def close(_end: int, path: tuple[tuple[int, int], ...]) -> bool:
+        if position[path[-1][0]] > at:
+            record((first,) + path)
+        return False
+
     for s in g.vertices:
-        first = {step[0]: i for i, (_, step) in enumerate(table[s])}
-        simple_paths(table, s, {s}, below, close)
-        below.append(s)
+        if s in dead:
+            continue
+        row = table[s]
+        position = {step[0]: i for i, (_, step) in enumerate(row)}
+        ends = {s}
+        for at, (a, first) in enumerate(row):
+            if live[s] < 2:
+                break
+            if a in dead:
+                continue
+            simple_paths(table, a, ends, dead, close)
+            deleted.add(first[0])
+            live[s] -= 1
+            live[a] -= 1
+            if live[a] < 2:
+                peel(a)
+        peel(s)
 
     # canonical forms are distinct, so the walks never decide the order
     keyed.sort(key=lambda pair: pair[0])

@@ -404,13 +404,14 @@ class TestMalformedInput:
             {"group": {"product": [{"cyclic": 2}, {"cyclic": True}]}, "arcs": []},
             {"n": 3, "vertices": [0, 1, 1]},
             {"n": 5, "vertices": [0, 1]},
+            {"group": {"cyclic": 2}, "n": -3, "arcs": []},
         ],
         ids=[
             "arc-string-vertex", "arc-float-vertex", "arc-bool-vertex",
             "arc-float-tail", "n-string", "n-bool", "n-float", "vertex-bool",
             "vertex-float", "vertices-string", "arc-ids-string", "arc-id-bool",
             "arc-id-float", "cyclic-bool", "symmetric-bool", "product-part-bool",
-            "vertices-repeated", "n-not-vertices-length",
+            "vertices-repeated", "n-not-vertices-length", "n-negative",
         ],
     )
     def test_graph_is_input_error(self, tmp_path, capsys, change):
