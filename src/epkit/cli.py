@@ -83,11 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("graph", help="graph JSON file")
     p_solve.add_argument("-k", type=int, required=True, help="cycles to pack")
     p_solve.add_argument("--tw-threshold", type=int, default=4, help=(
-        "width above which a witness or the fallback answers (default 4); it changes "
-        "an answer only with --expansion-witness or --oracle-fallback"))
-    p_solve.add_argument("--thresholds", choices=["paper", "small"], default="small", help=(
-        "paper: the paper's width threshold, cover budget and expansion sizes; "
-        "small (default): --tw-threshold and the construction's own floors"))
+        "width above which a witness or the fallback answers (default 4, at most "
+        "2^63-1); it changes an answer only with --expansion-witness or --oracle-fallback"))
     p_solve.add_argument("--oracle-fallback", action="store_true", help=(
         "above the threshold at k >= 2, answer by exact search (exit 3 past 14 vertices)"))
     p_solve.add_argument("--expansion-witness", metavar="FILE", help=(
@@ -139,7 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_twr.add_argument("--terminals", required=True)
     p_twr.add_argument("-t", type=int, required=True)
     p_twr.add_argument("--z", help="candidate set, default: all non-terminals")
-    p_twr.add_argument("--paper-size-check", action="store_true")
     p_twr.add_argument("--out", metavar="FILE")
 
     p_irr = sub.add_parser("irrelevant", help="find a deletable vertex")
@@ -149,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_irr.add_argument("--z", required=True)
     p_irr.add_argument("-p", type=int, required=True)
     p_irr.add_argument("-k", type=int, required=True)
-    p_irr.add_argument("--paper-size-check", action="store_true")
     p_irr.add_argument("--out", metavar="FILE")
     return parser
 
@@ -163,9 +158,7 @@ def _cmd_solve(args) -> int:
     if args.td:
         td = td_from_json_dict(_load_json(args.td))
     cfg = DriverConfig(
-        tw_threshold=args.tw_threshold,
-        thresholds_mode=args.thresholds,
-        oracle_fallback=args.oracle_fallback,
+        tw_threshold=args.tw_threshold, oracle_fallback=args.oracle_fallback
     )
     cert = solve(g, args.k, cfg, expansion=expansion, td=td)
     _emit(dump_json(certificate_to_json_dict(cert)), args.out)
@@ -240,9 +233,7 @@ def _cmd_twreduce(args) -> int:
         z = _int_list(args.z)
     else:
         z = [v for v in g.vertices if v not in set(terminals)]
-    marked = tw_reduction_set(
-        g, args.t, terminals, z, paper_size_check=args.paper_size_check
-    )
+    marked = tw_reduction_set(g, args.t, terminals, z)
     _emit(dump_json({"marked": sorted(marked)}), args.out)
     return EXIT_OK
 
@@ -252,14 +243,7 @@ def _cmd_irrelevant(args) -> int:
     sep = Separation(
         frozenset(_int_list(args.side_a)), frozenset(_int_list(args.side_b))
     )
-    vertex = find_irrelevant_vertex(
-        g,
-        sep,
-        _int_list(args.z),
-        args.p,
-        args.k,
-        paper_size_check=args.paper_size_check,
-    )
+    vertex = find_irrelevant_vertex(g, sep, _int_list(args.z), args.p, args.k)
     _emit(dump_json({"vertex": vertex}), args.out)
     return EXIT_OK
 

@@ -5,6 +5,11 @@ Everything in this module works on the undirected simple view of a graph;
 labels play no role. Vertex cuts are computed by unit-capacity flow on the
 split digraph (v_in -> v_out), with breadth-first augmentation in ascending
 vertex order so enumeration results are reproducible run to run.
+
+The treewidth reduction and the irrelevant-vertex search gate Z at the
+sizes their own arguments consume, |Z| >= 2t+1 and |Z| >= 2p+1. The
+paper's stronger gates (|Z| >= 7t, and |Z| > 2^p * p^(6p)) would only
+refuse more inputs: the marking never reads them.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ class _SplitNetwork:
     """The split digraph of an adjacency for unit vertex capacities: v_in ->
     v_out per vertex and u_out -> w_in per edge, plus a source and a sink.
 
-    endpoint_capacity=False models separator problems: sources and sinks are
-    uncuttable and a path enters at x_out / leaves at y_in, so min cuts avoid
-    them. endpoint_capacity=True models linkages: every path consumes its
-    endpoints (a vertex in both sets counts as a zero-length path).
+    A path enters at x_in and leaves at y_out, so it consumes its endpoints
+    and a vertex in both sets counts as a zero-length path. A vertex in
+    `uncuttable` gets capacity `big` instead of 1, so no min cut contains
+    it: separator problems pass their sources and sinks there.
 
     The arcs from the source to `sources` and from `sinks` to the sink are
     built closed. A flow is three steps: `open` the terminals of one flow,
@@ -47,10 +52,8 @@ class _SplitNetwork:
         sources: Iterable[int],
         sinks: Iterable[int],
         uncuttable: frozenset[int],
-        endpoint_capacity: bool,
     ):
         self.big = big = len(adj) + 2
-        self.endpoint_capacity = endpoint_capacity
         cap: dict[tuple, dict[tuple, int]] = {_SOURCE: {}, _SINK: {}}
 
         def add_arc(a, b, c):
@@ -58,27 +61,20 @@ class _SplitNetwork:
             cap.setdefault(b, {}).setdefault(a, 0)
 
         for v in sorted(adj):
-            c = big if (v in uncuttable and not endpoint_capacity) else 1
-            add_arc(("in", v), ("out", v), c)
+            add_arc(("in", v), ("out", v), big if v in uncuttable else 1)
         for v in sorted(adj):
             for w in adj[v]:
                 add_arc(("out", v), ("in", w), big)
         for x in sorted(sources):
-            add_arc(_SOURCE, self._entry(x), 0)
+            add_arc(_SOURCE, ("in", x), 0)
         for y in sorted(sinks):
-            add_arc(self._exit(y), _SINK, 0)
+            add_arc(("out", y), _SINK, 0)
         self.cap = cap
         # augmenting changes capacities, never the keys, so each node's
         # successors are sorted once per network
         self.successors = {node: sorted(out) for node, out in cap.items()}
         # each changed node's capacities as built, for `restore`
         self.saved: dict[tuple, dict[tuple, int]] = {}
-
-    def _entry(self, x: int) -> tuple:
-        return ("in", x) if self.endpoint_capacity else ("out", x)
-
-    def _exit(self, y: int) -> tuple:
-        return ("out", y) if self.endpoint_capacity else ("in", y)
 
     def _save(self, node: tuple) -> None:
         if node not in self.saved:
@@ -89,9 +85,9 @@ class _SplitNetwork:
         which must be among the terminals the network was built with."""
         self._save(_SOURCE)
         for x in sources:
-            self.cap[_SOURCE][self._entry(x)] = self.big
+            self.cap[_SOURCE][("in", x)] = self.big
         for y in sinks:
-            node = self._exit(y)
+            node = ("out", y)
             self._save(node)
             self.cap[node][_SINK] = self.big
 
@@ -163,9 +159,7 @@ def max_disjoint_paths(g: LabeledGraph, a: Iterable[int], b: Iterable[int]) -> i
             raise InputError(f"no vertex {v}")
     if not a_set or not b_set:
         return 0
-    net = _SplitNetwork(
-        g.simple_adjacency(), a_set, b_set, frozenset(), endpoint_capacity=True
-    )
+    net = _SplitNetwork(g.simple_adjacency(), a_set, b_set, frozenset())
     net.open(a_set, b_set)
     return net.augment()
 
@@ -215,7 +209,7 @@ def _candidate_separators(
     flow-based branching on the reach-maximal minimum separator."""
     if _inseparable(adj, x, y):
         return set()
-    net = _SplitNetwork(adj, x, y, x | y, endpoint_capacity=False)
+    net = _SplitNetwork(adj, x, y, x | y)
     net.open(x, y)
     value = net.augment(limit=budget)
     if value > budget:
@@ -324,9 +318,7 @@ def verify_well_linked(g: LabeledGraph, z: Iterable[int], p: int) -> WellLinkedW
     for v in z_set:
         if not g.has_vertex(v):
             raise InputError(f"no vertex {v}")
-    net = _SplitNetwork(
-        g.simple_adjacency(), z_set, z_set, frozenset(), endpoint_capacity=True
-    )
+    net = _SplitNetwork(g.simple_adjacency(), z_set, z_set, frozenset())
     for size in range(1, min(p, len(z_set)) + 1):
         subsets = [frozenset(c) for c in itertools.combinations(sorted(z_set), size)]
         for i, a in enumerate(subsets):
@@ -416,7 +408,6 @@ def tw_reduction_set(
     t: int,
     terminals: Iterable[int],
     z: Iterable[int],
-    paper_size_check: bool = False,
 ) -> frozenset[int]:
     """A set of marked vertices such that no vertex of Z outside it belongs
     to any minimal multiway cut of the terminals of size at most t.
@@ -427,9 +418,8 @@ def tw_reduction_set(
     between P and {q*} union the remaining terminals, and mark the
     Z-vertices inside each separator or its P-reach.
 
-    By default Z must satisfy |Z| >= 2t+1 and be (t+1)-linked in the given
-    graph, which is what the residue argument consumes; paper_size_check
-    demands the stronger |Z| >= 7t with linkage to |Z|/2.
+    Z must satisfy |Z| >= 2t+1 and be (t+1)-linked in the given graph,
+    which is what the residue argument consumes.
     """
     t_set = frozenset(terminals)
     z_set = frozenset(z)
@@ -444,19 +434,11 @@ def tw_reduction_set(
     for v in t_set | z_set:
         if not g.has_vertex(v):
             raise InputError(f"no vertex {v}")
-    if paper_size_check:
-        if len(z_set) < 7 * t:
-            raise InputError(
-                f"precondition failed: |Z| = {len(z_set)} below 7t = {7 * t}"
-            )
-        linkage_to = len(z_set) // 2
-    else:
-        if len(z_set) < 2 * t + 1:
-            raise InputError(
-                f"precondition failed: |Z| = {len(z_set)} below 2t+1 = {2 * t + 1}"
-            )
-        linkage_to = t + 1
-    witness = verify_well_linked(g, z_set, linkage_to)
+    if len(z_set) < 2 * t + 1:
+        raise InputError(
+            f"precondition failed: |Z| = {len(z_set)} below 2t+1 = {2 * t + 1}"
+        )
+    witness = verify_well_linked(g, z_set, t + 1)
     if not witness.linked:
         a, b = witness.failure
         raise InputError(
@@ -476,7 +458,6 @@ def find_irrelevant_vertex(
     z: Iterable[int],
     p: int,
     k: int,
-    paper_size_check: bool = False,
 ) -> int:
     """A vertex of Z whose deletion preserves the packing-or-cover outcome.
 
@@ -488,7 +469,7 @@ def find_irrelevant_vertex(
     k is part of the equivalence contract and plays no role in the
     computation.
 
-    Size gate: |Z| > 2^p * p^(6p) with paper_size_check, else |Z| >= 2p+1.
+    Size gate: |Z| >= 2p+1.
     """
     validate_separation(g, sep)
     boundary = sep.boundary
@@ -501,13 +482,7 @@ def find_irrelevant_vertex(
         )
     if not z_set <= sep.a - sep.b:
         raise InputError("precondition failed: Z must avoid B and sit inside A")
-    if paper_size_check:
-        needed = (2 ** p) * (p ** (6 * p))
-        if len(z_set) <= needed:
-            raise InputError(
-                f"precondition failed: |Z| = {len(z_set)} not above {needed}"
-            )
-    elif len(z_set) < 2 * p + 1:
+    if len(z_set) < 2 * p + 1:
         raise InputError(
             f"precondition failed: |Z| = {len(z_set)} below 2p+1 = {2 * p + 1}"
         )

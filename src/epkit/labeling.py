@@ -265,32 +265,36 @@ def find_consistent_labeling(
     return CleanResult(clean=True, labeling=labeling)
 
 
-def _tree_walk_to_root(via: dict[int, Optional[Arc]], v: int) -> list[tuple[int, int]]:
-    """Steps from v up to its BFS root, each step directed toward the root."""
-    steps = []
-    arc = via[v]
-    while arc is not None:
-        if arc.tail == v:
-            steps.append((arc.id, FORWARD))
-            v = arc.head
-        else:
-            steps.append((arc.id, REVERSE))
-            v = arc.tail
-        arc = via[v]
-    return steps
-
-
 def _witness_for_violation(g, via, u: int, w: int, arc_id: int, direction: int) -> Walk:
-    """Closed walk: root -> u, the violated arc to w, then w -> root."""
-    up_u = _tree_walk_to_root(via, u)
-    down_u = [(aid, -d) for (aid, d) in reversed(up_u)]
-    up_w = _tree_walk_to_root(via, w)
-    closed = Walk(tuple(down_u) + ((arc_id, direction),) + tuple(up_w))
-    if is_identity(walk_value(g, closed)):
-        raise InternalInvariantError("violation witness has identity value")
-    witness = _extract_non_null_from_closed(g, closed)
+    """The cycle the violated arc closes in the BFS tree: c -> u, the arc
+    to w, then w -> c, where c is the lowest common ancestor of u and w.
+    The closed walk root -> u, arc, w -> root has the same value up to
+    conjugation, so the cycle is non-null."""
+
+    def up(v: int) -> tuple[tuple[int, int], int]:
+        # the step from v toward the root, and the vertex it reaches
+        arc = via[v]
+        if arc.tail == v:
+            return (arc.id, FORWARD), arc.head
+        return (arc.id, REVERSE), arc.tail
+
+    # u's root path: each vertex, with the number of steps from u to it
+    depth = {u: 0}
+    up_u = []
+    v = u
+    while via[v] is not None:
+        step, v = up(v)
+        up_u.append(step)
+        depth[v] = len(up_u)
+    up_w = []
+    v = w
+    while v not in depth:
+        step, v = up(v)
+        up_w.append(step)
+    down_u = [(aid, -d) for (aid, d) in reversed(up_u[: depth[v]])]
+    witness = Walk(tuple(down_u) + ((arc_id, direction),) + tuple(up_w))
     if not is_non_null_cycle(g, witness):
-        raise InternalInvariantError("witness extraction failed")
+        raise InternalInvariantError("violation witness is not a non-null cycle")
     return witness
 
 

@@ -6,10 +6,9 @@ whose far side holds all the non-null structure, and
 `clique_branch_irrelevant` consumes such a separation (with a clean near
 side) to name a deletable vertex.
 
-Thresholds come in two flavors. The faithful ones grow so fast that no
-concrete instance can meet them, so every operation also accepts
-thresholds="small", which only keeps the floor the construction itself
-needs.
+The paper's expansion orders grow so fast that no concrete instance can
+meet them, so the branch demands only the floor its own construction
+consumes (`small_mode_floor`).
 """
 
 from __future__ import annotations
@@ -53,22 +52,6 @@ from .oracle import (
     simple_paths,
 )
 from .treedec import PackingCertificate, verify_packing
-
-
-def rho_threshold(k: int) -> int:
-    """Expansion order demanded by the irrelevant-vertex branch.
-
-    Exact integer; already beyond any buildable graph at k = 1."""
-    if k < 1:
-        raise InputError("k must be positive")
-    return 2 ** (3 * k) * (3 * k) ** (18 * k) + 1
-
-
-def separation_order_threshold(k: int) -> int:
-    """The expansion order must exceed this for the separation branch."""
-    if k < 1:
-        raise InputError("k must be positive")
-    return 6 * k * k
 
 
 def small_mode_floor(k: int) -> int:
@@ -355,7 +338,6 @@ def clique_branch_separation(
     g: LabeledGraph,
     k: int,
     eta_star: CliqueExpansion,
-    thresholds: str = "paper",
 ) -> PackingCertificate | Separation | None:
     """Either a half-integral k-packing of non-null cycles, or a separation
     (A, B) with G[A - B] clean, |A n B| <= 3k, and every supernode of
@@ -374,20 +356,11 @@ def clique_branch_separation(
     ell = eta_star.order
     if not verify_expansion(g, eta_star, ell):
         raise InputError("expansion witness does not verify")
-    if thresholds == "paper":
-        need = separation_order_threshold(k)
-        if ell <= need:
-            raise InputError(
-                f"precondition failed: expansion order {ell} must exceed {need}"
-            )
-    elif thresholds == "small":
-        if ell // k < small_mode_floor(k):
-            raise InputError(
-                f"precondition failed: expansion order {ell} gives sub-expansions "
-                f"of order {ell // k} < {small_mode_floor(k)}"
-            )
-    else:
-        raise InputError(f"unknown thresholds mode {thresholds!r}")
+    if ell // k < small_mode_floor(k):
+        raise InputError(
+            f"precondition failed: expansion order {ell} gives sub-expansions "
+            f"of order {ell // k} < {small_mode_floor(k)}"
+        )
 
     model = sorted(eta_star.supernodes)
     ell_prime = ell // k
@@ -495,18 +468,15 @@ def clique_branch_irrelevant(
     k: int,
     eta: CliqueExpansion,
     sep: Separation,
-    thresholds: str = "paper",
     z: Optional[Iterable[int]] = None,
 ) -> int:
     """A vertex whose deletion preserves both certificate sides, given a
     clean near side holding the whole expansion.
 
-    The expansion's centers are the default well-linked set; small mode
-    accepts any witness the caller can justify."""
+    The expansion's centers are the default well-linked set; `z` accepts
+    any other set the caller can justify."""
     if k < 1:
         raise InputError("k must be positive")
-    if thresholds not in ("paper", "small"):
-        raise InputError(f"unknown thresholds mode {thresholds!r}")
     ell = eta.order
     if not verify_expansion(g, eta, ell):
         raise InputError("expansion witness does not verify")
@@ -520,17 +490,5 @@ def clique_branch_irrelevant(
         raise InputError(
             "precondition failed: expansion must lie strictly inside the near side"
         )
-    if thresholds == "paper" and ell < rho_threshold(k):
-        raise InputError(
-            f"precondition failed: expansion order {ell} is below the "
-            f"required {rho_threshold(k)}"
-        )
     z_set = frozenset(z) if z is not None else frozenset(eta.centers.values())
-    return find_irrelevant_vertex(
-        g,
-        sep,
-        z_set,
-        len(boundary),
-        k,
-        paper_size_check=(thresholds == "paper"),
-    )
+    return find_irrelevant_vertex(g, sep, z_set, len(boundary), k)

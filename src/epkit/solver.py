@@ -39,7 +39,6 @@ from .packing import (
     _restrict_expansion,
     clique_branch_irrelevant,
     clique_branch_separation,
-    rho_threshold,
     verify_expansion,
 )
 from .treedec import (
@@ -52,57 +51,21 @@ from .treedec import (
 )
 
 
+# the largest threshold a trail integer can hold in 63 bits; at this value
+# the dynamic program answers at every level
+_MAX_TW_THRESHOLD = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class DriverConfig:
     tw_threshold: int = 4
-    thresholds_mode: str = "small"
     oracle_fallback: bool = False
 
     def __post_init__(self):
-        if self.tw_threshold < 1:
-            raise InputError("tw_threshold must be at least 1")
-        if self.thresholds_mode not in ("paper", "small"):
-            raise InputError(f"unknown thresholds mode {self.thresholds_mode!r}")
-
-
-# Faithful threshold arithmetic. The wall-extraction step hides a constant
-# and a wall-size function that no finite text pins down; both are replaced
-# by documented floors (1 and 2^4096), so every reported threshold is a
-# true lower bound on any faithful instantiation and still dwarfs every
-# representable instance.
-
-_WALL_SIZE_FLOOR = 2**4096
-
-
-def rho_prime(k: int) -> int:
-    return rho_threshold(k) + 3 * k
-
-
-def sigma_prime(k: int) -> int:
-    sigma = 16 * k * k * (_WALL_SIZE_FLOOR + 2 * k)
-    return sigma + rho_prime(k) + 3 * k
-
-
-def paper_tw_threshold(k: int) -> int:
-    s, r = sigma_prime(k), rho_prime(k)
-    return (s * (s + r)) ** 20
-
-
-def tau_threshold(k: int) -> int:
-    """Cover-size budget: grows by the separator bound per recursion level
-    and dominates the bounded-treewidth bound at the top."""
-    if k < 0:
-        raise InputError("k must be non-negative")
-    tau = 0
-    for i in range(1, k + 1):
-        tau = max(tau + rho_prime(i) + 3 * i, (i - 1) * (paper_tw_threshold(i) + 1))
-    return tau
-
-
-def _report_int(n: int) -> object:
-    if n.bit_length() <= 63:
-        return n
-    return {"bits": n.bit_length()}
+        t = self.tw_threshold
+        # a bool or a float would reach the trail as it is
+        if type(t) is not int or not 1 <= t <= _MAX_TW_THRESHOLD:
+            raise InputError(f"tw_threshold must be an integer in [1, {_MAX_TW_THRESHOLD}]")
 
 
 def strip_null_arcs(g: LabeledGraph) -> LabeledGraph:
@@ -205,17 +168,6 @@ def solve(
     else:
         if not verify_gfvs(g, outcome.vertices).verified:
             raise InternalInvariantError("final cover fails verification")
-        if cfg.thresholds_mode == "paper":
-            tau = tau_threshold(k)
-            if len(outcome.vertices) > tau:
-                raise InternalInvariantError("cover exceeds the recursion budget")
-            trail = trail + (
-                {
-                    "step": "cover-budget",
-                    "cover_size": len(outcome.vertices),
-                    "budget": _report_int(tau),
-                },
-            )
     return Certificate(k=k, outcome=outcome, trail=trail)
 
 
@@ -269,17 +221,14 @@ def _level(
         trail.append({"step": "clean", "cover": []})
         return GfvsCertificate((), True)
 
-    threshold = (
-        paper_tw_threshold(k) if cfg.thresholds_mode == "paper" else cfg.tw_threshold
-    )
     if td is None:
         td = tree_decomposition(stripped, "heuristic")
     else:
         validate_tree_decomposition(stripped, td)
     trail.append(
-        {"step": "treewidth", "width": td.width, "threshold": _report_int(threshold)}
+        {"step": "treewidth", "width": td.width, "threshold": cfg.tw_threshold}
     )
-    above = td.width > threshold
+    above = td.width > cfg.tw_threshold
     if above and expansion is not None:
         result = _expansion_branch(stripped, k, cfg, expansion, trail)
         if result is not None:
@@ -328,7 +277,7 @@ def _expansion_branch(
             "supplied expansion does not verify against the stripped graph"
         )
     trail.append({"step": "expansion", "source": "witness", "order": eta.order})
-    result = clique_branch_separation(g, k, eta, thresholds=cfg.thresholds_mode)
+    result = clique_branch_separation(g, k, eta)
     if result is None:
         return None
     if isinstance(result, PackingCertificate):
@@ -346,9 +295,7 @@ def _expansion_branch(
         free = _restrict_to_free_supernodes(eta, result.boundary)
         if free is not None:
             try:
-                return clique_branch_irrelevant(
-                    g, k, free, result, thresholds=cfg.thresholds_mode
-                )
+                return clique_branch_irrelevant(g, k, free, result)
             except InputError as exc:
                 trail.append({"step": "irrelevant-unavailable", "reason": str(exc)})
     return _separation_step(g, k, cfg, result, trail)

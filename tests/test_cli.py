@@ -350,13 +350,20 @@ class TestSolveVerify:
         assert code == 2
         assert "names one id under two keys" in err
 
-    def test_paper_mode(self, tmp_path, capsys):
-        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
-        code, out, _ = run(capsys, "solve", gpath, "-k", "1", "--thresholds", "paper")
+    def test_largest_threshold_routes_like_the_paper(self, tmp_path, capsys):
+        # the paper's width threshold exceeds every graph; 2^63 - 1 is the
+        # largest --tw-threshold, and the dynamic program answers under it
+        gpath = write_graph(tmp_path, "g.json", ["gen", "escher_wall", "--height", "2"], capsys)
+        code, out, _ = run(
+            capsys, "solve", gpath, "-k", "2", "--tw-threshold", str(2**63 - 1)
+        )
         assert code == 0
-        tw = next(t for t in json.loads(out)["trail"] if t["step"] == "treewidth")
-        assert tw["threshold"]["bits"] > 63
-
+        trail = json.loads(out)["trail"]
+        assert [t["step"] for t in trail] == ["strip", "treewidth", "bounded-treewidth"]
+        assert trail[1]["threshold"] == 2**63 - 1
+        code, _, err = run(capsys, "solve", gpath, "-k", "2", "--tw-threshold", str(2**63))
+        assert code == 2
+        assert "tw_threshold" in err
 
     def test_help_describes_every_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -365,7 +372,7 @@ class TestSolveVerify:
         out = " ".join(capsys.readouterr().out.split())
         assert "changes an answer only with --expansion-witness or --oracle-fallback" in out
         for text in (
-            "graph JSON file", "cycles to pack", "paper: the paper's width threshold",
+            "graph JSON file", "cycles to pack", "at most 2^63-1",
             "answer by exact search", "the driver branches on it",
             "used instead of min-fill's", "certificate file",
         ):
@@ -377,6 +384,24 @@ class TestSolveVerify:
             main(["solve", gpath, "-k", "1", "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["solve", "-k", "1", "--thresholds", "paper"], "--thresholds"),
+            (["twreduce", "--terminals", "0,1", "-t", "2", "--paper-size-check"],
+             "--paper-size-check"),
+            (["irrelevant", "--side-a", "0,1,2", "--side-b", "0,1", "--z", "2",
+              "-p", "2", "-k", "1", "--paper-size-check"], "--paper-size-check"),
+        ],
+        ids=["solve-thresholds", "twreduce-paper-size-check", "irrelevant-paper-size-check"],
+    )
+    def test_paper_mode_options_are_gone(self, tmp_path, capsys, argv, option):
+        gpath = write_graph(tmp_path, "g.json", ["gen", "odd_cycles", "--count", "1"], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], gpath, *argv[1:]])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 GOOD_GRAPH = {"group": {"cyclic": 2}, "n": 2, "arcs": [[0, 1, "1"]]}

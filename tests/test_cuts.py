@@ -408,8 +408,6 @@ class TestTwReduction:
             tw_reduction_set(g, 2, {0, 1}, {1, 2, 3, 4, 5})
         with pytest.raises(InputError, match="below 2t\\+1"):
             tw_reduction_set(g, 2, {0, 1}, {2, 3, 4})
-        with pytest.raises(InputError, match="below 7t"):
-            tw_reduction_set(g, 2, {0, 1}, {2, 3, 4, 5}, paper_size_check=True)
 
     def test_not_linked_rejected(self):
         # Z spread over a path is far from (t+1)-linked
@@ -499,8 +497,6 @@ class TestFindIrrelevantVertex:
             find_irrelevant_vertex(g, sep, z | {7}, 2, 1)
         with pytest.raises(InputError, match="below 2p\\+1"):
             find_irrelevant_vertex(g, sep, frozenset({2, 3, 4}), 2, 1)
-        with pytest.raises(InputError, match="not above"):
-            find_irrelevant_vertex(g, sep, z, 2, 1, paper_size_check=True)
 
     def test_non_clean_side_rejected(self):
         g, sep, z = clean_side_instance(extra_edges=[(2, 3, 1)])

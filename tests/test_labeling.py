@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epkit.labeling
 from epkit.errors import InputError
 from epkit.graph import (
+    FORWARD,
+    REVERSE,
+    Walk,
     build_graph,
     is_non_null_cycle,
     walk_vertices,
@@ -29,6 +33,7 @@ from epkit.groups import (
 )
 from epkit.labeling import (
     PotentialMap,
+    _extract_non_null_from_closed,
     find_consistent_labeling,
     find_non_null_cycle,
     is_clean,
@@ -105,6 +110,82 @@ class TestCleanDecision:
         result = find_consistent_labeling(g)
         assert result.clean
         assert set(result.labeling) == {0, 1, 2, 3}
+
+
+def reference_closed_walk(via, u, w, arc_id, direction):
+    """The closed walk root -> u, the violated arc to w, then w -> root."""
+
+    def to_root(v):
+        steps = []
+        while via[v] is not None:
+            arc = via[v]
+            if arc.tail == v:
+                steps.append((arc.id, FORWARD))
+                v = arc.head
+            else:
+                steps.append((arc.id, REVERSE))
+                v = arc.tail
+        return steps
+
+    down_u = [(aid, -d) for aid, d in reversed(to_root(u))]
+    return Walk(tuple(down_u) + ((arc_id, direction),) + tuple(to_root(w)))
+
+
+def witnesses_against_reference(g, s, seen):
+    """find_non_null_cycle(g, s), with every witness the labeling builds
+    checked against the reference closed walk on the same BFS tree, split
+    into a simple non-null cycle. `seen` gets one (witness, closed-walk
+    length) pair per witness."""
+    real = epkit.labeling._witness_for_violation
+
+    def checked(g, via, u, w, arc_id, direction):
+        got = real(g, via, u, w, arc_id, direction)
+        closed = reference_closed_walk(via, u, w, arc_id, direction)
+        assert got == _extract_non_null_from_closed(g, closed)
+        seen.append((got, len(closed.steps)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epkit.labeling, "_witness_for_violation", checked)
+        return find_non_null_cycle(g, s)
+
+
+class TestViolationWitness:
+    """The witness is built directly as the cycle through the lowest common
+    ancestor; cutting the closed walk through the root is its reference."""
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_matches_the_closed_walk_through_the_root(self, data):
+        spec = data.draw(st.sampled_from(SPECS))
+        n = data.draw(st.integers(1, 8))
+        arcs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.sampled_from(list(elements(spec))),
+                ),
+                max_size=2 * n,
+            )
+        )
+        g = build_graph(spec, n, arcs)
+        s = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+        seen = []
+        witness = witnesses_against_reference(g, s, seen)
+        assert (witness is None) == (not seen)
+
+    def test_reaches_loops_digons_and_cycles_below_the_root(self):
+        # the cases where the closed walk through the root is cut: a loop,
+        # two parallel arcs, and a cycle whose top vertex is not the root
+        seen = []
+        for seed in range(300):
+            g = random_graph(seed, 2 + seed % 7, 3 + seed % 11, SPECS[seed % len(SPECS)])
+            witnesses_against_reference(g, None, seen)
+        cut = [(w, length) for w, length in seen if len(w.steps) < length]
+        assert any(len(w.steps) == 1 for w, _ in cut)
+        assert any(len(w.steps) == 2 for w, _ in cut)
+        assert any(len(w.steps) >= 3 for w, _ in cut)
 
 
 class TestCleanSubset:

@@ -39,7 +39,6 @@ from epkit.packing import (
     expansion_from_json_dict,
     expansion_to_json_dict,
     non_null_s_paths_or_hitting_set,
-    rho_threshold,
     verify_expansion,
 )
 from epkit.treedec import PackingCertificate, verify_packing
@@ -390,7 +389,7 @@ class TestCliqueBranchSeparation:
     def test_all_sub_expansions_non_clean_gives_integral_packing(self):
         g = k8_plus([(0, 1, 1), (4, 5, 1)])  # odd chords in both halves
         eta = singleton_expansion(g, range(8))
-        result = clique_branch_separation(g, 2, eta, thresholds="small")
+        result = clique_branch_separation(g, 2, eta)
         assert isinstance(result, PackingCertificate)
         assert result.integrality == "integral"
         assert result.k == 2
@@ -399,7 +398,7 @@ class TestCliqueBranchSeparation:
     def test_k1_non_clean_expansion(self):
         g = k8_plus([(0, 1, 1)])
         eta = singleton_expansion(g, range(8))
-        result = clique_branch_separation(g, 1, eta, thresholds="small")
+        result = clique_branch_separation(g, 1, eta)
         assert isinstance(result, PackingCertificate)
         assert result.k == 1
         assert verify_packing(g, result)
@@ -408,7 +407,7 @@ class TestCliqueBranchSeparation:
         # two disjoint odd handles between centers
         g = k8_plus([(0, 8, 0), (8, 1, 1), (2, 9, 0), (9, 3, 1)])
         eta = singleton_expansion(g, range(8))
-        result = clique_branch_separation(g, 2, eta, thresholds="small")
+        result = clique_branch_separation(g, 2, eta)
         assert isinstance(result, PackingCertificate)
         assert result.integrality == "half-integral"
         assert result.k == 2
@@ -421,7 +420,7 @@ class TestCliqueBranchSeparation:
             [(0, 8, 0), (8, 1, 1), (1, 9, 0), (9, 2, 1), (0, 10, 0), (10, 2, 1)]
         )
         eta = singleton_expansion(g, range(8))
-        result = clique_branch_separation(g, 2, eta, thresholds="small")
+        result = clique_branch_separation(g, 2, eta)
         assert isinstance(result, Separation)
         assert result.order == 2
         validate_separation(g, result)
@@ -436,7 +435,7 @@ class TestCliqueBranchSeparation:
         # one non-clean attachment, separator of order one
         g = k8_plus([(7, 8, 0), (8, 9, 0), (8, 9, 1)])
         eta = singleton_expansion(g, range(8))
-        result = clique_branch_separation(g, 2, eta, thresholds="small")
+        result = clique_branch_separation(g, 2, eta)
         assert isinstance(result, Separation)
         assert result.order == 1
         assert result.boundary == frozenset({7})
@@ -448,7 +447,7 @@ class TestCliqueBranchSeparation:
             [(7, 8, 0), (8, 9, 0), (8, 9, 1), (6, 10, 0), (10, 11, 0), (10, 11, 1)]
         )
         eta = singleton_expansion(g, range(8))
-        result = clique_branch_separation(g, 2, eta, thresholds="small")
+        result = clique_branch_separation(g, 2, eta)
         assert isinstance(result, PackingCertificate)
         assert result.k == 2
         assert verify_packing(g, result)
@@ -459,23 +458,17 @@ class TestCliqueBranchSeparation:
             [(0, 8, 0), (8, 1, 1), (1, 9, 0), (9, 2, 1), (0, 10, 0), (10, 2, 1)]
         )
         eta = singleton_expansion(g, range(8))
-        sep = clique_branch_separation(g, 2, eta, thresholds="small")
+        sep = clique_branch_separation(g, 2, eta)
         far = g.induced_subgraph(sep.b - sep.a)
         cover = set(min_gfvs(far)) | set(sep.boundary)
         assert is_clean(g.delete_vertices(cover))
-
-    def test_paper_threshold_enforced(self):
-        g = k8_plus([])
-        eta = singleton_expansion(g, range(8))
-        with pytest.raises(InputError, match="exceed"):
-            clique_branch_separation(g, 2, eta, thresholds="paper")
 
     def test_small_threshold_floor(self):
         g = plain(6, list(itertools.combinations(range(6), 2)))
         eta = singleton_expansion(g, range(6))
         # k=2 needs sub-expansions of order at least 4; 6 // 2 = 3
         with pytest.raises(InputError, match="sub-expansion"):
-            clique_branch_separation(g, 2, eta, thresholds="small")
+            clique_branch_separation(g, 2, eta)
 
     def test_bad_witness_rejected(self):
         g = k8_plus([])
@@ -484,21 +477,15 @@ class TestCliqueBranchSeparation:
             eta.supernodes, eta.tree_edges, eta.edge_map, {**eta.centers, 0: 7}
         )
         with pytest.raises(InputError, match="does not verify"):
-            clique_branch_separation(g, 1, bad, thresholds="small")
-
-    def test_unknown_mode_rejected(self):
-        g = k8_plus([])
-        eta = singleton_expansion(g, range(8))
-        with pytest.raises(InputError, match="thresholds"):
-            clique_branch_separation(g, 1, eta, thresholds="huge")
+            clique_branch_separation(g, 1, bad)
 
     def test_deterministic(self):
         g = k8_plus(
             [(0, 8, 0), (8, 1, 1), (1, 9, 0), (9, 2, 1), (0, 10, 0), (10, 2, 1)]
         )
         eta = singleton_expansion(g, range(8))
-        first = clique_branch_separation(g, 2, eta, thresholds="small")
-        second = clique_branch_separation(g, 2, eta, thresholds="small")
+        first = clique_branch_separation(g, 2, eta)
+        second = clique_branch_separation(g, 2, eta)
         assert first == second
 
     @pytest.mark.parametrize("seed", range(14))
@@ -533,7 +520,7 @@ class TestCliqueBranchSeparation:
                 nxt += 2
         g = k8_plus(extra)
         result = clique_branch_separation(
-            g, 1, singleton_expansion(g, range(8)), thresholds="small"
+            g, 1, singleton_expansion(g, range(8))
         )
         assert result is not None
 
@@ -621,7 +608,7 @@ def irrelevant_fixture():
 class TestCliqueBranchIrrelevant:
     def test_returns_deletable_vertex(self):
         g, sep, eta = irrelevant_fixture()
-        v = clique_branch_irrelevant(g, 1, eta, sep, thresholds="small")
+        v = clique_branch_irrelevant(g, 1, eta, sep)
         assert v in {2, 3, 4, 5, 6}
         reduced = g.delete_vertices({v})
         for k in (1, 2):
@@ -629,18 +616,10 @@ class TestCliqueBranchIrrelevant:
                 if ep_predicate(reduced, k, p):
                     assert ep_predicate(g, k, p), f"k={k} p={p}"
 
-    def test_paper_threshold_value(self):
-        assert rho_threshold(1) == 3_099_363_913
-
-    def test_paper_threshold_enforced(self):
-        g, sep, eta = irrelevant_fixture()
-        with pytest.raises(InputError, match="3099363913"):
-            clique_branch_irrelevant(g, 1, eta, sep, thresholds="paper")
-
     def test_user_supplied_z(self):
         g, sep, eta = irrelevant_fixture()
         v = clique_branch_irrelevant(
-            g, 1, eta, sep, thresholds="small", z=[6, 5, 4, 3, 2]
+            g, 1, eta, sep, z=[6, 5, 4, 3, 2]
         )
         assert v in {2, 3, 4, 5, 6}
 
@@ -652,13 +631,13 @@ class TestCliqueBranchIrrelevant:
         sep1 = Separation(frozenset(range(7)), frozenset({0, 7, 8}))
         eta1 = singleton_expansion(g1, [2, 3, 4, 5, 6])
         with pytest.raises(InputError, match="order"):
-            clique_branch_irrelevant(g1, 1, eta1, sep1, thresholds="small")
+            clique_branch_irrelevant(g1, 1, eta1, sep1)
 
     def test_expansion_must_avoid_boundary(self):
         g, sep, eta = irrelevant_fixture()
         touching = singleton_expansion(g, [1, 3, 4, 5, 6])
         with pytest.raises(InputError, match="inside"):
-            clique_branch_irrelevant(g, 1, touching, sep, thresholds="small")
+            clique_branch_irrelevant(g, 1, touching, sep)
 
     def test_non_clean_near_side_rejected(self):
         arcs = [(u, v, 0) for u, v in itertools.combinations(range(7), 2)]
@@ -668,15 +647,15 @@ class TestCliqueBranchIrrelevant:
         sep = Separation(frozenset(range(7)), frozenset({0, 1, 7, 8}))
         eta = singleton_expansion(g, [2, 3, 4, 5, 6])
         with pytest.raises(InputError):
-            clique_branch_irrelevant(g, 1, eta, sep, thresholds="small")
+            clique_branch_irrelevant(g, 1, eta, sep)
 
     def test_bad_k_rejected(self):
         g, sep, eta = irrelevant_fixture()
         with pytest.raises(InputError):
-            clique_branch_irrelevant(g, 0, eta, sep, thresholds="small")
+            clique_branch_irrelevant(g, 0, eta, sep)
 
     def test_deterministic(self):
         g, sep, eta = irrelevant_fixture()
-        a = clique_branch_irrelevant(g, 1, eta, sep, thresholds="small")
-        b = clique_branch_irrelevant(g, 1, eta, sep, thresholds="small")
+        a = clique_branch_irrelevant(g, 1, eta, sep)
+        b = clique_branch_irrelevant(g, 1, eta, sep)
         assert a == b

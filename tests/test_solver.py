@@ -21,15 +21,7 @@ from epkit.groups import Cyclic, Symmetric, elements, identity, inverse, is_iden
 from epkit.labeling import is_clean
 from epkit.oracle import enumerate_non_null_cycles
 from epkit.packing import CliqueExpansion
-from epkit.solver import (
-    DriverConfig,
-    paper_tw_threshold,
-    rho_prime,
-    sigma_prime,
-    solve,
-    strip_null_arcs,
-    tau_threshold,
-)
+from epkit.solver import DriverConfig, solve, strip_null_arcs
 from epkit.treedec import tree_decomposition
 from epkit.verify import verify_certificate
 from test_treedec import random_order_decomposition
@@ -222,39 +214,21 @@ class TestStripNullArcs:
         assert 0 < arcless < 1000
 
 
-class TestThresholdArithmetic:
-    def test_monotone(self):
-        assert rho_prime(1) < rho_prime(2) < rho_prime(3)
-        assert sigma_prime(1) < sigma_prime(2)
-        assert tau_threshold(1) < tau_threshold(2)
-
-    def test_tau_dominates_cover_budget(self):
-        for k in (1, 2, 3):
-            assert tau_threshold(k) >= (k - 1) * (paper_tw_threshold(k) + 1)
-
-    def test_paper_threshold_is_astronomical(self):
-        # the wall-size floor guarantees the reported bound dwarfs any
-        # instance this package can hold
-        assert paper_tw_threshold(1).bit_length() > 63
-
-    def test_tau_validation(self):
-        assert tau_threshold(0) == 0
-        with pytest.raises(InputError):
-            tau_threshold(-1)
-
-
 class TestDriverConfig:
     def test_defaults(self):
         cfg = DriverConfig()
         assert cfg.tw_threshold == 4
-        assert cfg.thresholds_mode == "small"
         assert not cfg.oracle_fallback
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tw_threshold": 0},
-            {"thresholds_mode": "tiny"},
+            # above 2^63 - 1 a trail threshold would not fit in 63 bits
+            {"tw_threshold": 2**63},
+            {"tw_threshold": 2.5},
+            {"tw_threshold": True},
+            {"tw_threshold": "5"},
         ],
     )
     def test_validation(self, kwargs):
@@ -614,22 +588,18 @@ class TestSolveWallCase:
 
 
 class TestPaperMode:
+    """The paper's width threshold exceeds every graph, so its routing is
+    the largest threshold DriverConfig accepts: the dynamic program answers
+    at every level, even where the oracle fallback would."""
+
     def test_decomposition_branch_with_reported_threshold(self):
         w = escher_wall(2)
-        cert = solve(w, 2, DriverConfig(thresholds_mode="paper"))
+        cert = solve(w, 2, DriverConfig(tw_threshold=2**63 - 1, oracle_fallback=True))
         tw_entry = next(t for t in cert.trail if t["step"] == "treewidth")
-        # the threshold is astronomical, reported by bit length
-        assert isinstance(tw_entry["threshold"], dict)
-        assert tw_entry["threshold"]["bits"] > 63
-        assert verify_certificate(w, cert) == (True, "")
-
-    def test_cover_budget_recorded(self):
-        w = escher_wall(2)
-        cert = solve(w, 2, DriverConfig(thresholds_mode="paper"))
+        assert tw_entry["threshold"] == 2**63 - 1
+        assert [t["step"] for t in cert.trail] == ["strip", "treewidth", "bounded-treewidth"]
         assert cert.kind == "gfvs"
-        budget = next(t for t in cert.trail if t["step"] == "cover-budget")
-        assert budget["cover_size"] == len(cert.outcome.vertices)
-        assert budget["budget"]["bits"] > 63
+        assert verify_certificate(w, cert) == (True, "")
 
 
 class TestCoverRepair:

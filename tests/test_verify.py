@@ -49,6 +49,24 @@ class TestAccept:
         doc["trail"][2:2] = [{"step": "expansion", "source": source, "order": 2}]
         assert verify_certificate(g, certificate_from_json_dict(doc)) == (True, "")
 
+    def test_older_trail_from_paper_mode(self):
+        # what `solve --thresholds paper` wrote for this graph before the
+        # mode was removed: the width threshold by bit length, and a cover
+        # checked against the recursion budget
+        doc = {
+            "k": 3,
+            "outcome": {"kind": "gfvs", "vertices": [0, 1, 2, 3, 4, 5]},
+            "trail": [
+                {"step": "strip", "removed": []},
+                {"step": "treewidth", "width": 2, "threshold": {"bits": 164127}},
+                {"step": "bounded-treewidth", "result": "cover", "width": 2,
+                 "cover_size": 6, "bound": 6},
+                {"step": "cover-budget", "cover_size": 6, "budget": {"bits": 164128}},
+            ],
+        }
+        g = odd_cycles(2)
+        assert verify_certificate(g, certificate_from_json_dict(doc)) == (True, "")
+
 
 class TestReject:
     def test_wrong_cycle_count(self):
