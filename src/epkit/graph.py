@@ -103,13 +103,15 @@ class LabeledGraph:
         except KeyError:
             raise InputError(f"no vertex {v}") from None
 
-    def undirected_neighbors(self, v: int) -> tuple[int, ...]:
-        seen = {a.other(v) for a in self.incident(v) if not a.is_loop}
-        return tuple(sorted(seen))
-
     def simple_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Loop-free, multiplicity-collapsed adjacency, neighbors sorted."""
-        return {v: self.undirected_neighbors(v) for v in self.vertices}
+        """Loop-free, multiplicity-collapsed adjacency, neighbors sorted;
+        built in one pass over the arcs."""
+        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        for a in self.arcs:
+            if a.tail != a.head:
+                adj[a.tail].add(a.head)
+                adj[a.head].add(a.tail)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     def induced_subgraph(self, keep: Iterable[int]) -> "LabeledGraph":
         keep_set = set(keep)

@@ -3,22 +3,33 @@
 Min-fill builds every decomposition; none needs to be optimal. The min-fill
 order (Bodlaender & Koster, Treewidth computations I: upper bounds, 2010)
 eliminates a vertex of least fill-in at each step, ties going to the lowest
-vertex id. It keeps, for every vertex v, the number tri(v) of edges inside
-N(v), so fill(v) = C(deg v, 2) - tri(v); the initial counts take one N(u) &
-N(v) per edge. Eliminating v first adds each missing edge ab inside N(v): one
-N(a) & N(b) gives the common neighbours, and a, b gain that many edges inside
-their neighbourhoods while each common neighbour gains ab. Then v goes, and
-each of its neighbours loses the deg(v) - 1 edges from v to the now complete
-N(v). A lazy heap of (fill, vertex) entries gets a new entry only for a
-vertex whose fill changed. The counts are exact, so the popped (fill, lowest
-id) minimum, and with it the order, is the one a full rescan would choose.
-The pass records each vertex's neighbourhood as it is eliminated, and those
-records are the bags of the decomposition.
+vertex id. The arcs are read once into neighbour sets kept in a list indexed
+by vertex position; positions follow ascending id, so a (fill, position) tie
+breaks as (fill, id) would. The pass keeps, for every vertex v, the number
+tri(v) of edges inside N(v), so fill(v) = C(deg v, 2) - tri(v); the initial
+counts take one N(u) & N(v) per edge. Eliminating v first adds each missing
+edge ab inside N(v): one N(a) & N(b) gives the common neighbours, and a, b
+gain that many edges inside their neighbourhoods while each common neighbour
+gains ab. Then v goes, and each of its neighbours loses the deg(v) - 1 edges
+from v to the now complete N(v). A lazy heap of (fill, position) entries
+gets a new entry only for a vertex whose fill changed. The counts are exact,
+so the popped (fill, lowest position) minimum, and with it the order, is
+the one a full rescan would choose. Each vertex's neighbour set is left as
+it was when the vertex was eliminated, and those sets are the bags of the
+decomposition.
 
-Validation is linear in the size of the decomposition plus the graph: the
-tree shape is checked by one walk down from the root, arcs by intersecting
-per-vertex node sets, and each vertex's subtree by counting its topmost
-nodes.
+Validation is linear in the size of the decomposition plus the graph. The
+tree shape is checked by one walk down from the root. One pass over the
+bags then records each vertex's top nodes: the nodes that hold it while
+their parent does not. Each connected part of a vertex's node set has
+exactly one top, its highest node, so the nodes holding v are connected
+exactly when v has one top. An arc is covered exactly when one end lies in
+a top node of the other. Take two connected node sets that share a node x:
+both tops are ancestors of x, and the lower one lies on the path from x up
+to the higher one, a path inside the higher one's set. So two connected
+sets meet exactly when the top of one lies in the other. Applied to each
+connected part, the check stays exact for a vertex whose nodes are not
+connected, so an uncovered arc is reported before a disconnected vertex.
 
 The bounded-treewidth routine asks, in one post-order sweep, whether each
 node's live subtree induces a clean graph. A graph is clean exactly when it
@@ -133,31 +144,38 @@ def _checked_children(
     kids = td.children()
     if len(reach(kids, [root])) != len(td.nodes):
         raise InputError("parent links contain a cycle")
+    # a vertex's top nodes hold it while their parent does not; each
+    # connected part of its node set has one, its highest node
     vertex_set = set(g.vertices)
-    for n, bag in td.bags.items():
+    bags, parent = td.bags, td.parent
+    top: dict[int, int] = {}
+    more_tops: dict[int, list[int]] = {}
+    for n, bag in bags.items():
         if not bag <= vertex_set:
             raise InputError(f"bag of node {n} contains unknown vertices")
-    where: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for n, bag in td.bags.items():
-        for v in bag:
-            where[v].add(n)
-    for v in g.vertices:
-        if not where[v]:
-            raise InputError(f"vertex {v} appears in no bag")
+        p = parent[n]
+        for v in bag if p is None else bag - bags[p]:
+            if v in top:
+                more_tops.setdefault(v, []).append(n)
+            else:
+                top[v] = n
+    if len(top) != len(vertex_set):
+        v = next(v for v in g.vertices if v not in top)
+        raise InputError(f"vertex {v} appears in no bag")
+    # two node sets meet exactly when a top of one lies in the other (see
+    # the module docstring); a vertex with one top needs one lookup per end
     for a in g.arcs:
-        if where[a.tail].isdisjoint(where[a.head]):
-            raise InputError(f"arc {a.id} has no bag containing both endpoints")
-    # in a tree, the nodes holding v are connected exactly when one of them
-    # has a parent that does not hold v (or no parent at all)
-    tops: dict[int, int] = dict.fromkeys(g.vertices, 0)
-    for n, bag in td.bags.items():
-        p = td.parent[n]
-        above = td.bags[p] if p is not None else frozenset()
-        for v in bag - above:
-            tops[v] += 1
-    for v in g.vertices:
-        if tops[v] != 1:
-            raise InputError(f"bags containing vertex {v} are not connected")
+        t, h = a.tail, a.head
+        if h in bags[top[t]] or t in bags[top[h]]:
+            continue
+        if more_tops and (
+            any(h in bags[n] for n in more_tops.get(t, ()))
+            or any(t in bags[n] for n in more_tops.get(h, ()))
+        ):
+            continue
+        raise InputError(f"arc {a.id} has no bag containing both endpoints")
+    if more_tops:
+        raise InputError(f"bags containing vertex {min(more_tops)} are not connected")
     return kids
 
 
@@ -184,94 +202,112 @@ def td_from_json_dict(doc: dict) -> TreeDecomposition:
 
 # Elimination machinery ---------------------------------------------------------
 
-def _min_fill_order(adj: dict[int, set[int]]) -> list[tuple[int, set[int]]]:
-    """The min-fill elimination: each vertex in order with its neighbourhood
-    in the filled graph at the moment it is eliminated."""
-    work = {v: set(ns) for v, ns in adj.items()}
-    tri = dict.fromkeys(work, 0)  # edges inside N(v)
-    for u, nu in work.items():
+def _min_fill_positions(nbrs: list[set[int]]) -> list[int]:
+    """Eliminate every position by min-fill and return them in order. Each
+    `nbrs[v]` ends as v's neighbourhood in the filled graph at the moment v
+    is eliminated, and is not touched after that."""
+    n = len(nbrs)
+    tri = [0] * n  # edges inside N(v)
+    for u, nu in enumerate(nbrs):
         for v in nu:
             if u < v:
-                common = len(nu & work[v])
+                common = len(nu & nbrs[v])
                 tri[u] += common
                 tri[v] += common
-    fill = {}
-    for v, ns in work.items():
+    fill = []  # -1 once eliminated, so every later heap entry is stale
+    for v, ns in enumerate(nbrs):
         tri[v] //= 2  # each edge was counted from both of its ends
-        fill[v] = len(ns) * (len(ns) - 1) // 2 - tri[v]
-    heap = [(f, v) for v, f in fill.items()]
+        d = len(ns)
+        fill.append(d * (d - 1) // 2 - tri[v])
+    heap = list(zip(fill, range(n)))
     heapq.heapify(heap)
-    elimination: list[tuple[int, set[int]]] = []
+    order: list[int] = []
     while heap:
         f, v = heapq.heappop(heap)
-        if v not in work or fill[v] != f:
+        if fill[v] != f:
             continue  # stale entry
-        ns = work.pop(v)
-        del fill[v]
-        elimination.append((v, ns))
-        touched = set(ns)
+        fill[v] = -1
+        order.append(v)
+        ns = nbrs[v]
+        outside: set[int] = set()  # vertices beyond N(v) whose tri grew
         missing = f  # fill edges still to add inside N(v)
         for a in ns:
             if not missing:
                 break
-            na = work[a]
+            na = nbrs[a]
             for b in ns - na:
                 if b == a:
                     continue
-                nb = work[b]
+                nb = nbrs[b]
                 common = na & nb  # v among them; its count is never read
                 tri[a] += len(common)
                 tri[b] += len(common)
                 for w in common:
                     tri[w] += 1
-                touched |= common
+                outside |= common
                 na.add(b)
                 nb.add(a)
                 missing -= 1
-        touched.discard(v)
         # N(v) is a clique now: each neighbour loses the deg(v) - 1 edges
         # from v to the rest of N(v)
         lost = len(ns) - 1
         for u in ns:
-            work[u].discard(v)
+            nu = nbrs[u]
+            nu.discard(v)
             tri[u] -= lost
-        for u in touched:
-            d = len(work[u])
+            d = len(nu)
             new = d * (d - 1) // 2 - tri[u]
             if new != fill[u]:
                 fill[u] = new
                 heapq.heappush(heap, (new, u))
-    return elimination
-
-
-def _decomposition(elimination: list[tuple[int, set[int]]]) -> TreeDecomposition:
-    """Node i holds the i-th eliminated vertex with its neighbourhood; its
-    parent is the node of the first of those neighbours eliminated after it."""
-    if not elimination:
-        return TreeDecomposition((0,), {0: None}, {0: frozenset()})
-    position = {v: i for i, (v, _) in enumerate(elimination)}
-    last = len(elimination) - 1
-    bags: dict[int, frozenset[int]] = {}
-    parent: dict[int, Optional[int]] = {}
-    for idx, (v, ns) in enumerate(elimination):
-        bags[idx] = frozenset(ns | {v})
-        if ns:
-            parent[idx] = min(position[u] for u in ns)
-        elif idx < last:
-            # component exhausted; chain onto the next node to keep one tree
-            parent[idx] = idx + 1
-        else:
-            parent[idx] = None
-    return TreeDecomposition(tuple(range(len(elimination))), parent, bags)
+        if outside:
+            outside -= ns
+            outside.discard(v)
+            for u in outside:
+                d = len(nbrs[u])
+                new = d * (d - 1) // 2 - tri[u]
+                if new != fill[u]:
+                    fill[u] = new
+                    heapq.heappush(heap, (new, u))
+    return order
 
 
 def tree_decomposition(g: LabeledGraph, mode: str = "heuristic") -> TreeDecomposition:
     """The min-fill tree decomposition of g, at any size; `mode` is the one
-    mode, "heuristic", kept for callers that pass it."""
+    mode, "heuristic", kept for callers that pass it.
+
+    The arcs are read once into neighbour sets indexed by vertex position,
+    positions in ascending id, so (fill, position) ties break as (fill, id)
+    would. Node i holds the i-th eliminated vertex with its neighbourhood;
+    its parent is the node of the first of those neighbours eliminated after
+    it. A vertex eliminated with no neighbours ends its component, and its
+    node chains onto the next one to keep one tree."""
     if mode != "heuristic":
         raise InputError(f"unknown decomposition mode {mode!r}")
-    adj = {v: set(ns) for v, ns in g.simple_adjacency().items()}
-    return _decomposition(_min_fill_order(adj))
+    ids = g.vertices
+    if not ids:
+        return TreeDecomposition((0,), {0: None}, {0: frozenset()})
+    position = {v: i for i, v in enumerate(ids)}
+    nbrs: list[set[int]] = [set() for _ in ids]
+    for a in g.arcs:
+        t, h = position[a.tail], position[a.head]
+        if t != h:
+            nbrs[t].add(h)
+            nbrs[h].add(t)
+    order = _min_fill_positions(nbrs)
+    step = [0] * len(order)
+    for i, v in enumerate(order):
+        step[v] = i
+    last = len(order) - 1
+    parent: dict[int, Optional[int]] = {}
+    bags: dict[int, frozenset[int]] = {}
+    for i, v in enumerate(order):
+        ns = nbrs[v]
+        bag = [ids[u] for u in ns]
+        bag.append(ids[v])
+        bags[i] = frozenset(bag)
+        parent[i] = min([step[u] for u in ns]) if ns else (i + 1 if i < last else None)
+    return TreeDecomposition(tuple(range(len(order))), parent, bags)
 
 
 # Packing or cover ----------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.errors import InputError
 from epkit.graph import (
@@ -162,6 +164,19 @@ class TestSubgraphs:
         adj = g.simple_adjacency()
         assert adj[0] == (1,)
         assert adj[1] == (0, 2)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_simple_adjacency_matches_per_vertex_definition(self, data):
+        # loops, parallel arcs, isolated vertices and gapped or negative ids
+        ids = data.draw(st.lists(st.integers(-20, 40), max_size=12, unique=True))
+        vertex = st.sampled_from(ids) if ids else st.nothing()
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * len(ids)))
+        g = build_graph(z(3), ids, [(u, v, 1) for u, v in pairs])
+        assert g.simple_adjacency() == {
+            v: tuple(sorted({a.other(v) for a in g.incident(v) if not a.is_loop}))
+            for v in g.vertices
+        }
 
 
 class TestWalks:

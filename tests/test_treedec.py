@@ -2,14 +2,22 @@
 
 Min-fill widths are checked against a brute-force minimum over all
 elimination orders, written here from the definition with its own
-contraction routine. Decompositions from seeded random elimination orders
-put shapes min-fill does not make in front of the validator and the DP.
+contraction routine. The library's min-fill on vertex positions is checked
+against the dict-based elimination it replaced, kept here as the reference,
+which in turn is checked against a full rescan. Decompositions from seeded
+random elimination orders put shapes min-fill does not make in front of the
+validator and the DP.
 """
 
+import collections
+import contextlib
 import heapq
 import itertools
 import json
 import random
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +35,6 @@ from epkit.solver import solve
 from epkit.treedec import (
     PackingCertificate,
     TreeDecomposition,
-    _min_fill_order,
     packing_or_cover_bounded_tw,
     td_from_json_dict,
     tree_decomposition,
@@ -116,10 +123,97 @@ def brute_force_treewidth(g):
     )
 
 
+def reference_min_fill_elimination(adj):
+    """The min-fill elimination on vertex ids: each vertex in order with its
+    neighbourhood in the filled graph at the moment it is eliminated. Exact
+    tri counts under a lazy heap of (fill, id) entries, as the library ran
+    them on dicts of sets keyed by id before it moved to vertex positions."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    tri = dict.fromkeys(work, 0)  # edges inside N(v)
+    for u, nu in work.items():
+        for v in nu:
+            if u < v:
+                common = len(nu & work[v])
+                tri[u] += common
+                tri[v] += common
+    fill = {}
+    for v, ns in work.items():
+        tri[v] //= 2  # each edge was counted from both of its ends
+        fill[v] = len(ns) * (len(ns) - 1) // 2 - tri[v]
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
+    elimination = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if v not in work or fill[v] != f:
+            continue  # stale entry
+        ns = work.pop(v)
+        del fill[v]
+        elimination.append((v, ns))
+        touched = set(ns)
+        missing = f  # fill edges still to add inside N(v)
+        for a in ns:
+            if not missing:
+                break
+            na = work[a]
+            for b in ns - na:
+                if b == a:
+                    continue
+                nb = work[b]
+                common = na & nb  # v among them; its count is never read
+                tri[a] += len(common)
+                tri[b] += len(common)
+                for w in common:
+                    tri[w] += 1
+                touched |= common
+                na.add(b)
+                nb.add(a)
+                missing -= 1
+        touched.discard(v)
+        # N(v) is a clique now: each neighbour loses the deg(v) - 1 edges
+        # from v to the rest of N(v)
+        lost = len(ns) - 1
+        for u in ns:
+            work[u].discard(v)
+            tri[u] -= lost
+        for u in touched:
+            d = len(work[u])
+            new = d * (d - 1) // 2 - tri[u]
+            if new != fill[u]:
+                fill[u] = new
+                heapq.heappush(heap, (new, u))
+    return elimination
+
+
+def reference_decomposition(elimination):
+    """Node i holds the i-th eliminated vertex with its neighbourhood; its
+    parent is the node of the first of those neighbours eliminated after it.
+    A vertex with no neighbours left chains onto the next node."""
+    if not elimination:
+        return TreeDecomposition((0,), {0: None}, {0: frozenset()})
+    position = {v: i for i, (v, _) in enumerate(elimination)}
+    last = len(elimination) - 1
+    bags = {}
+    parent = {}
+    for idx, (v, ns) in enumerate(elimination):
+        bags[idx] = frozenset(ns | {v})
+        if ns:
+            parent[idx] = min(position[u] for u in ns)
+        elif idx < last:
+            parent[idx] = idx + 1
+        else:
+            parent[idx] = None
+    return TreeDecomposition(tuple(range(len(elimination))), parent, bags)
+
+
+def reference_tree_decomposition(g):
+    return reference_decomposition(reference_min_fill_elimination(adjacency_sets(g)))
+
+
 def random_order_decomposition(g, seed):
     """The decomposition of a seeded random elimination order of g, built
-    by the library's `_decomposition` from each vertex's neighbourhood in
-    the filled graph when it is eliminated."""
+    by `reference_decomposition` from each vertex's neighbourhood in the
+    filled graph when it is eliminated."""
     work = adjacency_sets(g)
     order = sorted(work)
     random.Random(seed).shuffle(order)
@@ -130,7 +224,57 @@ def random_order_decomposition(g, seed):
             work[u].discard(v)
             work[u] |= ns - {u}
         elimination.append((v, ns))
-    return epkit.treedec._decomposition(elimination)
+    return reference_decomposition(elimination)
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs over Z2 with loops, parallel arcs and isolated vertices, on ids
+    that are gapped or negative, arcs in any order; sometimes with a clique,
+    whose fills tie. The empty graph among them."""
+    ids = draw(st.lists(st.integers(-50, 199), max_size=16, unique=True))
+    if not ids:
+        return build_graph(Z2, [], [])
+    vertex = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * len(ids)))
+    clique = draw(st.lists(vertex, max_size=6, unique=True))
+    pairs = draw(st.permutations(pairs + list(itertools.combinations(clique, 2))))
+    return build_graph(Z2, ids, [(u, v, 0) for u, v in pairs])
+
+
+@contextlib.contextmanager
+def counting_set_operations():
+    """Count the intersections and differences of the sets `treedec` makes
+    while the block runs."""
+    counts = collections.Counter()
+
+    class CountingSet(set):
+        def __and__(self, other):
+            counts["&"] += 1
+            return set.__and__(self, other)
+
+        __rand__ = __and__
+
+        def __sub__(self, other):
+            counts["-"] += 1
+            return set.__sub__(self, other)
+
+        def intersection(self, *others):
+            counts["&"] += 1
+            return set.intersection(self, *others)
+
+        def difference(self, *others):
+            counts["-"] += 1
+            return set.difference(self, *others)
+
+    with mock.patch.object(epkit.treedec, "set", CountingSet, create=True):
+        yield counts
+
+
+def filled_edges(td):
+    """Edges of the filled graph an elimination decomposition records: each
+    node's bag is its vertex and that vertex's later neighbours."""
+    return sum(len(bag) - 1 for bag in td.bags.values() if bag)
 
 
 def min_fill_width(g):
@@ -185,7 +329,8 @@ class TestExactWidth:
         td = tree_decomposition(g)
         assert td == tree_decomposition(g, "heuristic")
         assert [td.bags[i] for i in td.nodes] == [
-            frozenset(ns | {v}) for v, ns in _min_fill_order(adjacency_sets(g))
+            frozenset(ns | {v})
+            for v, ns in reference_min_fill_elimination(adjacency_sets(g))
         ]
 
 
@@ -352,22 +497,26 @@ class TestValidator:
             validate_tree_decomposition(g, td)
 
     def test_matches_reference_on_mutations(self):
-        # every single mutation of a valid decomposition gets the verdict
-        # and the message of the definition-level validator
+        # one or two faults in a valid decomposition of up to about 40 nodes
+        # get the verdict and the message of the definition-level validator
         rng = random.Random(11)
-        verdicts = set()
-        for seed in range(60):
-            g = random_labeled(seed, 4 + seed % 9, 5 + seed % 11, Z2)
+        faults = (
+            (drop_bag_vertex,),
+            (add_bag_vertex,),
+            (repoint_parent,),
+            (drop_bag_vertex, repoint_parent),
+            (break_arc, split_node_set),
+        )
+        messages = collections.Counter()
+        for seed in range(300):
+            n = 4 + seed % 37
+            g = random_labeled(seed, n, n + seed % 11, Z2)
             td = tree_decomposition(g) if seed % 2 else random_order_decomposition(g, seed)
+            if seed % 3 == 0:
+                td = jumbled(td, rng, rng.randint(1, 4))
             parent, bags = dict(td.parent), dict(td.bags)
-            node = rng.choice(td.nodes)
-            kind = seed % 3
-            if kind == 0 and bags[node]:
-                bags[node] = bags[node] - {rng.choice(sorted(bags[node]))}
-            elif kind == 1:
-                bags[node] = bags[node] | {rng.randrange(g.n)}
-            elif parent[node] is not None:
-                parent[node] = rng.choice(td.nodes)
+            for fault in faults[seed % len(faults)]:
+                fault(g, parent, bags, rng)
             mutated = TreeDecomposition(td.nodes, parent, bags)
             expected = reference_validate(g, mutated)
             try:
@@ -376,8 +525,65 @@ class TestValidator:
             except InputError as exc:
                 got = str(exc)
             assert got == expected, f"seed {seed}"
-            verdicts.add(got is None)
-        assert verdicts == {True, False}
+            messages[got and re.sub(r"-?\d+", "#", got)] += 1
+        assert set(messages) == {
+            None,
+            "vertex # appears in no bag",
+            "arc # has no bag containing both endpoints",
+            "parent links contain a cycle",
+            "bags containing vertex # are not connected",
+        }, messages
+
+
+def drop_bag_vertex(g, parent, bags, rng):
+    node = rng.choice(sorted(bags))
+    if bags[node]:
+        bags[node] = bags[node] - {rng.choice(sorted(bags[node]))}
+
+
+def add_bag_vertex(g, parent, bags, rng):
+    node = rng.choice(sorted(bags))
+    bags[node] = bags[node] | {rng.choice(g.vertices)}
+
+
+def repoint_parent(g, parent, bags, rng):
+    node = rng.choice(sorted(bags))
+    if parent[node] is not None:
+        parent[node] = rng.choice(sorted(bags))
+
+
+def break_arc(g, parent, bags, rng):
+    """One end of a random arc leaves every bag that holds both ends."""
+    a = rng.choice(g.arcs)
+    end = rng.choice((a.tail, a.head))
+    for node, bag in bags.items():
+        if a.tail in bag and a.head in bag:
+            bags[node] = bag - {end}
+
+
+def split_node_set(g, parent, bags, rng):
+    """A vertex leaves a node between two that hold it, or joins a node
+    that none of its tree neighbours shares it with."""
+    v = rng.choice(g.vertices)
+    near = collections.defaultdict(set)
+    for node, p in parent.items():
+        if p is not None:
+            near[node].add(p)
+            near[p].add(node)
+    middle = [
+        node for node in sorted(bags)
+        if v in bags[node] and sum(v in bags[m] for m in near[node]) >= 2
+    ]
+    apart = [
+        node for node in sorted(bags)
+        if v not in bags[node] and not any(v in bags[m] for m in near[node])
+    ]
+    if middle and (not apart or rng.random() < 0.5):
+        node = rng.choice(middle)
+        bags[node] = bags[node] - {v}
+    elif apart:
+        node = rng.choice(apart)
+        bags[node] = bags[node] | {v}
 
 
 def td_to_json_dict(td):
@@ -639,8 +845,9 @@ def rescanning_min_fill_order(adj):
 class TestMinFillOrder:
     def check(self, g):
         adj = adjacency_sets(g)
-        order = [v for v, _ in _min_fill_order(adj)]
-        assert order == reference_min_fill_order(adj)
+        elimination = reference_min_fill_elimination(adj)
+        assert [v for v, _ in elimination] == reference_min_fill_order(adj)
+        assert tree_decomposition(g) == reference_decomposition(elimination)
 
     def test_random_graphs(self):
         for seed in range(60):
@@ -673,6 +880,20 @@ class TestMinFillOrder:
         edges += [pair for c in cliques for pair in itertools.combinations(c, 2)]
         self.check(plain(n, [(u, v) for u, v in edges if u != v]))
 
+    @settings(max_examples=300)
+    @given(g=multigraphs())
+    def test_property_matches_reference_on_multigraphs(self, g):
+        # the same (nodes, parent, bags) as the elimination on ids, with one
+        # intersection per edge and per fill edge, and set differences only
+        # in eliminations that add fill edges, at most one per neighbour
+        with counting_set_operations() as counts:
+            td = tree_decomposition(g)
+        assert td == reference_tree_decomposition(g)
+        edges = sum(len(ns) for ns in adjacency_sets(g).values()) // 2
+        fill = filled_edges(td) - edges
+        assert counts["&"] <= edges + fill
+        assert counts["-"] <= fill * max(td.width, 0)
+
     @pytest.mark.parametrize(
         "g",
         [
@@ -687,9 +908,10 @@ class TestMinFillOrder:
     def test_large_graphs_match_recompute(self, g):
         adj = adjacency_sets(g)
         order, bags = rescanning_min_fill_order(adj)
-        elimination = _min_fill_order(adj)
+        elimination = reference_min_fill_elimination(adj)
         assert [v for v, _ in elimination] == order
         td = tree_decomposition(g, "heuristic")
+        assert td == reference_decomposition(elimination)
         assert [td.bags[i] for i in td.nodes] == bags
         # the order's width is its largest recorded neighbourhood
         assert max(len(ns) for _, ns in elimination) == order_width(adj, order)
@@ -857,32 +1079,15 @@ class TestScale:
         assert ok, why
         assert multiplications[0] <= 10 * (g.n + len(g.arcs))
 
-    def test_min_fill_intersects_once_per_edge(self, monkeypatch):
+    def test_min_fill_intersects_once_per_edge(self):
         # one intersection per edge and one per fill edge; recomputing the
         # fill of every vertex within distance two of each eliminated one
         # made about 266k on this graph
-        intersections = 0
-
-        class CountingSet(set):
-            def __and__(self, other):
-                nonlocal intersections
-                intersections += 1
-                return set.__and__(self, other)
-
-            __rand__ = __and__
-
-            def intersection(self, *others):
-                nonlocal intersections
-                intersections += 1
-                return set.intersection(self, *others)
-
         g = random_instance(1000, 1100, Symmetric(3), seed=50_008)
-        adj = adjacency_sets(g)
-        monkeypatch.setattr(epkit.treedec, "set", CountingSet, raising=False)
-        elimination = _min_fill_order(adj)
-        edges = sum(len(ns) for ns in adj.values()) // 2
-        filled_edges = sum(len(ns) for _, ns in elimination)
-        assert intersections <= edges + (filled_edges - edges)
+        with counting_set_operations() as counts:
+            td = tree_decomposition(g)
+        edges = sum(len(ns) for ns in adjacency_sets(g).values()) // 2
+        assert counts["&"] <= edges + (filled_edges(td) - edges)
 
     def test_child_lists_built_once(self, monkeypatch):
         calls = 0
